@@ -1,10 +1,22 @@
 """Two independent exact counting engines.
 
-count_brute / qcount_brute enumerate perfect matchings of the region's
+count_brute / qcount_brute sum over the perfect matchings of the region's
 dual graph (vertices = unit triangles, edges = shared sides honoring the
-forbidden crossing positions) by a deterministic depth-first search that
-always branches on the lowest-indexed uncovered triangle. They are the
-oracle: slow, simple, and obviously faithful to the region.
+forbidden crossing positions). A depth-first search always branches on the
+lowest-indexed uncovered triangle, so the covered set is a prefix plus a
+thin frontier; memoizing on it makes the search a frontier
+(transfer-matrix) DP that counts every tiling without visiting each one.
+They are the oracle: simple, and obviously faithful to the region.
+enumerate_tilings is the only per-tiling walk, for rendering.
+
+BRUTE_LIMIT stays at 120 triangles although the DP reaches far larger
+regions. Its memory grows with the number of frontier states, which
+depends on the region's shape more than on its size: the flat
+make_spec(300, 2) (2,408 triangles) has 11,701 states, while the tall
+make_spec(2, 12) (384 triangles) already has 126,764, and the count
+climbs steeply with y. The same budget also guards enumerate_tilings,
+which is exponential. Callers that know their region is flat pass an
+explicit limit; raising the default waits for a measured state bound.
 
 count_axis / qcount_axis cut every tiling along the axis. Exactly y of the
 free base positions are straddled by vertical lozenges, so the count is a
@@ -76,54 +88,64 @@ def _check_size(region: TriangularRegion, limit: int | None):
     return m
 
 
+def _matching_sum(region: TriangularRegion, one, combine):
+    """Sum over the perfect matchings of the dual graph, memoized on the
+    covered bitmask.
+
+    A state is worth combine([(child value, edge weight), ...]) over its
+    moves (combine([]) at a dead end); the fully covered state, which for
+    the empty region is the start, is worth `one`. The post-order DFS
+    keeps an explicit stack, so deep regions do not hit the interpreter's
+    recursion limit.
+    """
+    if len(region.triangles) % 2:
+        return combine([])
+    _, partners = _dual_graph(region)
+    full = (1 << len(partners)) - 1
+    memo = {full: one}
+    pending: dict[int, list[tuple[int, int]]] = {}
+    stack = [0]
+    while stack:
+        covered = stack.pop()
+        if covered in memo:
+            continue
+        moves = pending.pop(covered, None)
+        if moves is None:
+            low = ~covered & (covered + 1)
+            moves = [(covered | low | 1 << j, w)
+                     for j, w in partners[low.bit_length() - 1]
+                     if not covered >> j & 1]
+            todo = [c for c, _ in moves if c not in memo]
+            if todo:
+                pending[covered] = moves
+                stack.append(covered)
+                stack += todo
+                continue
+        memo[covered] = combine([(memo[c], w) for c, w in moves])
+    return memo[0]
+
+
+def _sum_counts(kids: list[tuple[int, int]]) -> int:
+    return sum(v for v, _ in kids)
+
+
+def _sum_weighted(kids: list[tuple[QPoly, int]]) -> QPoly:
+    if not kids:
+        return QPoly.zero()
+    polys = [v.shifted(w) if w else v for v, w in kids]
+    return sum(polys[1:], polys[0])
+
+
 def count_brute(region: TriangularRegion, limit: int | None = None) -> int:
     """Number of perfect matchings of the dual graph; empty region -> 1."""
-    m = _check_size(region, limit)
-    if m == 0:
-        return 1
-    if m % 2:
-        return 0
-    _, partners = _dual_graph(region)
-    padj = [tuple(j for j, _ in ps) for ps in partners]
-    full = (1 << m) - 1
-
-    def rec(covered: int) -> int:
-        if covered == full:
-            return 1
-        rest = full & ~covered
-        i = (rest & -rest).bit_length() - 1
-        total = 0
-        for j in padj[i]:
-            if not covered >> j & 1:
-                total += rec(covered | (1 << i) | (1 << j))
-        return total
-
-    return rec(0)
+    _check_size(region, limit)
+    return _matching_sum(region, 1, _sum_counts)
 
 
 def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     """Sum of q-weights over all tilings, as a Laurent polynomial."""
-    m = _check_size(region, limit)
-    if m == 0:
-        return QPoly.one()
-    if m % 2:
-        return QPoly.zero()
-    _, partners = _dual_graph(region)
-    full = (1 << m) - 1
-    acc: dict[int, int] = {}
-
-    def rec(covered: int, expo: int):
-        if covered == full:
-            acc[expo] = acc.get(expo, 0) + 1
-            return
-        rest = full & ~covered
-        i = (rest & -rest).bit_length() - 1
-        for j, w in partners[i]:
-            if not covered >> j & 1:
-                rec(covered | (1 << i) | (1 << j), expo + w)
-
-    rec(0, 0)
-    return QPoly(acc)
+    _check_size(region, limit)
+    return _matching_sum(region, QPoly.one(), _sum_weighted)
 
 
 def _classify(up: Triangle, down: Triangle) -> Lozenge:

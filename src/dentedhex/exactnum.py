@@ -23,6 +23,14 @@ class InexactDivision(ArithmeticError):
     """An exact polynomial quotient was requested but a remainder is left."""
 
 
+class ExactnessError(ArithmeticError):
+    """An exact result broke an invariant it must satisfy by construction.
+
+    Raised instead of a bare assert so the check still runs under
+    ``python -O``.
+    """
+
+
 class QPoly:
     """Laurent polynomial in q with exact integer coefficients.
 

@@ -1,8 +1,9 @@
 """Closed-form products: box counts, dented-semihexagon counts, their
 q-analogs, and the right-hand sides of the shuffling identities.
 
-Integer products accumulate as exact rationals and assert a denominator of
-one at the end, which doubles as an integrality check.
+Integer products accumulate as exact rationals and require a denominator
+of one at the end, which doubles as an integrality check; every broken
+invariant raises ExactnessError.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactnum import QPoly, QRatio, one_minus_q_quotient
+from .exactnum import ExactnessError, QPoly, QRatio, one_minus_q_quotient
 from .lattice import (ClusterSpec, SemihexSpec, SpecError, ValidatedSpec,
                       UP, DOWN, make_spec)
 
@@ -28,7 +29,8 @@ def pp(a: int, b: int, c: int) -> int:
         for j in range(1, b + 1):
             for k in range(1, c + 1):
                 acc *= Fraction(i + j + k - 1, i + j + k - 2)
-    assert acc.denominator == 1
+    if acc.denominator != 1:
+        raise ExactnessError(f"pp({a}, {b}, {c}) = {acc} is not an integer")
     return acc.numerator
 
 
@@ -57,7 +59,9 @@ def schur_ones(S: Sequence[int]) -> int:
     of the staircase-corrected shape lambda_of(S).
     """
     acc = _schur_frac(S)
-    assert acc.denominator == 1
+    if acc.denominator != 1:
+        raise ExactnessError(f"schur_ones({tuple(S)}) = {acc} is not an "
+                             "integer")
     return acc.numerator
 
 
@@ -80,7 +84,9 @@ def clp_q_dents(S: Sequence[int]) -> QPoly:
     num = [S[j] - S[i] for i in range(a) for j in range(i + 1, a)]
     den = [j - i for i in range(a) for j in range(i + 1, a)]
     out = one_minus_q_quotient(num, den).shifted(shift)
-    assert not out or out.min_exp() >= 0
+    if out and out.min_exp() < 0:
+        raise ExactnessError(f"clp_q_dents({tuple(S)}) has a negative "
+                             "exponent")
     return out
 
 
@@ -110,7 +116,9 @@ def lambda_of(S: Sequence[int]) -> tuple[int, ...]:
     """Partition (s_u-u+1, ..., s_2-1, s_1) attached to a strict set S."""
     u = len(S)
     lam = tuple(S[u - i] - (u - i) for i in range(1, u + 1))
-    assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ExactnessError(f"lambda_of({tuple(S)}) = {lam} is not a "
+                             "partition")
     return lam
 
 
@@ -143,7 +151,8 @@ class ShuffleInstance:
             raise SpecError("shuffle must preserve the union of dents")
         if set(self.U) & set(self.D) != set(self.U2) & set(self.D2):
             raise SpecError("shuffle must preserve the intersection of dents")
-        assert a.L == b.L
+        if a.L != b.L:
+            raise ExactnessError("shuffle changed the side length L")
 
     def spec_a(self) -> ValidatedSpec:
         return make_spec(self.x, self.y, self.U, self.D, self.B)

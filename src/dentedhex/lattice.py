@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+from .exactnum import ExactnessError
+
 
 class SpecError(ValueError):
     """Base class for invalid region descriptions."""
@@ -246,7 +248,8 @@ def build_region(spec: ValidatedSpec) -> TriangularRegion:
     for t in spec.D:
         tris.remove(Triangle(t - 1, -1, False))
     region = TriangularRegion(frozenset(tris), frozenset(spec.B), L)
-    assert region.up_count() == region.down_count(), "region must be balanced"
+    if region.up_count() != region.down_count():
+        raise ExactnessError("region must be balanced")
     return region
 
 

@@ -169,6 +169,23 @@ def test_region_too_large():
         enumerate_tilings(region, max_triangles=10)
 
 
+def test_oracle_survives_deep_regions():
+    # 2,408 triangles: a recursive walk would nest 1,204 calls deep
+    region = build_region(make_spec(300, 2))
+    assert count_brute(region, limit=2408) == pp(300, 2, 2)
+
+
+def test_oracle_matches_axis_beyond_default_budget():
+    demo = make_spec(4, 3, (2, 4, 5, 8, 11), (4, 9, 11, 12), (6, 13))
+    region = build_region(demo)
+    assert len(region.triangles) == 298
+    assert count_brute(region, limit=298) == count_axis(demo)
+    assert count_axis(demo) == 28693855097460
+    hexagon = make_spec(5, 5)
+    region = build_region(hexagon)
+    assert qcount_brute(region, limit=150) == qcount_axis(hexagon)
+
+
 def test_counts_are_deterministic():
     spec = make_spec(4, 3, (2, 4, 5, 8, 11), (4, 9, 11, 12), (6, 13))
     a = count_axis(spec)

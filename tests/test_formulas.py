@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dentedhex.engines import count_brute, qcount_axis
-from dentedhex.exactnum import QPoly, QRatio
+from dentedhex.exactnum import ExactnessError, QPoly, QRatio
 from dentedhex.formulas import (ClusterStats, IncompatibleClusters,
                                 ShuffleInstance, asym_rhs, clp, clp_q_dents,
                                 cluster_s_values, delta, delta_q,
@@ -65,6 +69,9 @@ def test_clp_q():
         p = clp_q_dents(dents)
         assert p.eval_one() == schur_ones(dents)
         assert not p or p.min_exp() >= 0
+    # a dent left of the base would need a negative exponent
+    with pytest.raises(ExactnessError):
+        clp_q_dents((0,))
 
 
 def test_delta():
@@ -78,6 +85,8 @@ def test_lambda_of():
     assert lambda_of(tuple(range(1, 5))) == (1, 1, 1, 1)
     assert lambda_of((2, 4, 5)) == (3, 3, 2)
     assert lambda_of((7,)) == (7,)
+    with pytest.raises(ExactnessError):
+        lambda_of((3, 3))
 
 
 def test_schur_ones():
@@ -220,3 +229,16 @@ def test_shuffle_instance_validation():
         ShuffleInstance(1, 1, (1,), (2,), (3,), (1,))  # union changes
     with pytest.raises(SpecError):
         ShuffleInstance(1, 1, (1, 2), (2,), (1,), (2,))  # intersection changes
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # python -O strips assert statements; these checks must still run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from dentedhex.formulas import lambda_of; lambda_of((3, 3))"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "ExactnessError" in proc.stderr
