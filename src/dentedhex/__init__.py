@@ -7,7 +7,7 @@ formulas, and a verification harness for the shuffling identities.
 
 from .engines import (count_axis, count_brute, enumerate_tilings,
                       qcount_axis, qcount_brute, tiling_qweight)
-from .exactnum import QPoly, QRatio, qratio_eq
+from .exactnum import QPoly, QRatio
 from .formulas import (ShuffleInstance, asym_rhs, clp, clp_q, delta, delta_q,
                        gen_shuffle_rhs, lambda_of, pp, pp_q, q_shuffle_rhs,
                        schur_ones, shuffle_rhs)
@@ -19,7 +19,7 @@ from .lattice import (ClusterSpec, RegionSpec, SemihexSpec, TriangularRegion,
 __version__ = "0.1.0"
 
 __all__ = [
-    "QPoly", "QRatio", "qratio_eq",
+    "QPoly", "QRatio",
     "RegionSpec", "ValidatedSpec", "SemihexSpec", "ClusterSpec",
     "TriangularRegion", "ShuffleInstance",
     "validate_spec", "make_spec", "spec_from_json_dict", "build_region",

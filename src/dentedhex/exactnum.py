@@ -5,6 +5,23 @@ are fractions.Fraction; this module adds what the standard library lacks:
 Laurent polynomials in a single variable q with integer coefficients, and
 equality of ratios of such polynomials decided by cross-multiplication
 instead of division. No floating point anywhere.
+
+Polynomial products run on CPython's big-int multiply (Kronecker
+substitution): a polynomial with coefficients c_i, shifted so its lowest
+exponent is 0, is packed into the single int sum c_i * 2^(k*i), k = 8*width
+bits per coefficient. Packed values multiply as the polynomials do, and
+QPoly.from_packed reads the product back as balanced digits in
+(-2^(k-1), 2^(k-1)), which is exact as long as every coefficient lies in
+that range. digit_width(bound) picks the least whole-byte k with
+bound < 2^(k-1). Two bounds are used:
+
+- QPoly.__mul__: a product coefficient sums at most min(len a, len b)
+  terms, each at most max|a| * max|b| in magnitude.
+- formulas.clp_q_dents: the dented-semihexagon generating polynomial has
+  nonnegative coefficients (it counts tilings by weight) whose sum is its
+  value at q=1, schur_ones(S); so each coefficient is at most schur_ones(S).
+  Its quotient of (Q^m - 1) products is one exact int division at
+  Q = 2^k, checked by its remainder and by the digit sum.
 """
 
 from __future__ import annotations
@@ -73,6 +90,22 @@ class QPoly:
     def q(cls) -> "QPoly":
         return cls._raw({1: 1})
 
+    @classmethod
+    def from_packed(cls, n: int, width: int, low: int) -> "QPoly":
+        """q^low * P, where P is the polynomial with P(2^k) = n, k = 8*width.
+
+        Reads n as balanced digits c_i in (-2^(k-1), 2^(k-1)), lowest first,
+        as the coefficients of P: exact whenever every coefficient of P lies
+        in that range.
+        """
+        k = 8 * width
+        count = n.bit_length() // k + 1
+        buf = (n + _offset(count, width)).to_bytes(count * width, "little")
+        digits = [int.from_bytes(buf[i:i + width], "little")
+                  for i in range(0, count * width, width)]
+        h = 1 << (k - 1)
+        return cls._raw({e: v - h for e, v in enumerate(digits, low) if v != h})
+
     def items(self):
         return self._c.items()
 
@@ -129,18 +162,15 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         a, b = self._c, other._c
-        if len(a) > len(b):
-            a, b = b, a
-        c: dict[int, int] = {}
-        for e1, v1 in a.items():
-            for e2, v2 in b.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    del c[e]
-        return QPoly._raw(c)
+        if not a or not b:
+            return QPoly.zero()
+        # no product coefficient exceeds bound in magnitude
+        bound = (min(len(a), len(b)) * max(map(abs, a.values()))
+                 * max(map(abs, b.values())))
+        width = digit_width(bound)
+        alow, blow = min(a), min(b)
+        n = _pack(a, alow, max(a), width) * _pack(b, blow, max(b), width)
+        return QPoly.from_packed(n, width, alow + blow)
 
     __rmul__ = __mul__
 
@@ -177,9 +207,6 @@ class QPoly:
     def shifted(self, k: int) -> "QPoly":
         """Multiply by the monomial q^k."""
         return QPoly._raw({e + k: v for e, v in self._c.items()})
-
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
 
     def divexact(self, other: "QPoly") -> "QPoly":
         """Exact quotient self/other; raises InexactDivision otherwise.
@@ -233,6 +260,31 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self.render()!r})"
+
+
+def digit_width(bound: int) -> int:
+    """Bytes per packed coefficient when every coefficient has magnitude at
+    most bound: the least k = 8*width with bound < 2^(k-1)."""
+    return bound.bit_length() // 8 + 1
+
+
+def _offset(count: int, width: int) -> int:
+    """sum of 2^(k-1) * 2^(k*i) over i < count, k = 8*width."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(c: Mapping[int, int], low: int, high: int, width: int) -> int:
+    """sum of c[low+i] * 2^(k*i) over low <= low+i <= high, k = 8*width,
+    for coefficients of magnitude below 2^(k-1).
+
+    Each coefficient is offset by 2^(k-1) into one nonnegative k-bit digit,
+    and the offsets are subtracted from the packed int in one step.
+    """
+    h = 1 << (8 * width - 1)
+    get = c.get
+    digits = b"".join([(get(e, 0) + h).to_bytes(width, "little")
+                       for e in range(low, high + 1)])
+    return int.from_bytes(digits, "little") - _offset(high - low + 1, width)
 
 
 def _dense(p: QPoly, low: int) -> list[int]:
@@ -334,7 +386,3 @@ class QRatio:
     def __str__(self) -> str:
         return self.render()
 
-
-def qratio_eq(a: QRatio, b: QRatio) -> bool:
-    """a/b equality without division: a.num*b.den == b.num*a.den."""
-    return a == b

@@ -1,19 +1,20 @@
 """Closed-form products: box counts, dented-semihexagon counts, their
 q-analogs, and the right-hand sides of the shuffling identities.
 
-Integer products accumulate as exact rationals and require a denominator
-of one at the end, which doubles as an integrality check; every broken
-invariant raises ExactnessError.
+Integer products are exact integer quotients whose remainder must be zero,
+which doubles as an integrality check; every broken invariant raises
+ExactnessError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from typing import Sequence
 
-from .exactnum import ExactnessError, QPoly, QRatio, one_minus_q_quotient
+from .exactnum import (ExactnessError, QPoly, QRatio, digit_width,
+                       one_minus_q_quotient)
 from .lattice import (ClusterSpec, SemihexSpec, SpecError, ValidatedSpec,
                       UP, DOWN, make_spec)
 
@@ -23,15 +24,22 @@ class IncompatibleClusters(SpecError):
 
 
 def pp(a: int, b: int, c: int) -> int:
-    """Boxed plane-partition count: prod (i+j+k-1)/(i+j+k-2) over the box."""
-    acc = Fraction(1)
+    """Boxed plane-partition count: prod (i+j+k-1)/(i+j+k-2) over the box.
+
+    The k-product telescopes, leaving the integer quotient
+    prod (i+j+c-1) // prod (i+j-1) over i <= a, j <= b.
+    """
+    c = max(c, 0)  # a box with no k-layers is an empty product
+    num = den = 1
     for i in range(1, a + 1):
         for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                acc *= Fraction(i + j + k - 1, i + j + k - 2)
-    if acc.denominator != 1:
-        raise ExactnessError(f"pp({a}, {b}, {c}) = {acc} is not an integer")
-    return acc.numerator
+            num *= i + j + c - 1
+            den *= i + j - 1
+    out, rem = divmod(num, den)
+    if rem:
+        raise ExactnessError(f"pp({a}, {b}, {c}) = {Fraction(num, den)} is "
+                             "not an integer")
+    return out
 
 
 def pp_q(a: int, b: int, c: int) -> QPoly:
@@ -44,25 +52,21 @@ def pp_q(a: int, b: int, c: int) -> QPoly:
     return one_minus_q_quotient(num, den)
 
 
-def _schur_frac(S: Sequence[int]) -> Fraction:
-    acc = Fraction(1)
-    for i in range(len(S)):
-        for j in range(i + 1, len(S)):
-            acc *= Fraction(S[j] - S[i], j - i)
-    return acc
-
-
 def schur_ones(S: Sequence[int]) -> int:
     """prod (s_j-s_i)/(j-i): the dented-semihexagon count for dents S.
 
-    Equals the principal specialization at all-ones of the Schur polynomial
-    of the staircase-corrected shape lambda_of(S).
+    Computed as the integer quotient delta(S) // prod_{k<len(S)} k!, since
+    prod_{i<j} (j-i) is that product of factorials. Equals the principal
+    specialization at all-ones of the Schur polynomial of the
+    staircase-corrected shape lambda_of(S).
     """
-    acc = _schur_frac(S)
-    if acc.denominator != 1:
-        raise ExactnessError(f"schur_ones({tuple(S)}) = {acc} is not an "
-                             "integer")
-    return acc.numerator
+    num = delta(S)
+    den = prod(factorial(k) for k in range(len(S)))
+    out, rem = divmod(num, den)
+    if rem:
+        raise ExactnessError(f"schur_ones({tuple(S)}) = {Fraction(num, den)} "
+                             "is not an integer")
+    return out
 
 
 def clp(s: SemihexSpec) -> int:
@@ -73,17 +77,33 @@ def clp(s: SemihexSpec) -> int:
 def clp_q_dents(S: Sequence[int]) -> QPoly:
     """Generating polynomial of the dented semihexagon with dents S.
 
-    q^(sum(s_i - i)) * prod (q^(s_j)-q^(s_i))/(q^j-q^i), computed through
-    the gap form so only products of (1-q^m) factors are ever divided.
-    All exponents come out nonnegative; the value at q=1 is schur_ones(S).
+    q^(sum(s_i - i)) * prod (q^(s_j)-q^(s_i))/(q^j-q^i), in the gap form
+    q^shift * prod (Q^(s_j-s_i) - 1) / prod (Q^(j-i) - 1). Both products
+    are evaluated at Q = 2^k and divided as ints; the quotient is unpacked
+    into coefficients (see the exactnum docstring for why k from
+    schur_ones(S) suffices). A remainder, a digit sum other than
+    schur_ones(S), or a negative exponent raises ExactnessError.
     """
     a = len(S)
+    if any(S[i] >= S[i + 1] for i in range(a - 1)):
+        raise ValueError(f"clp_q_dents({tuple(S)}): dents must be strictly "
+                         "increasing")
+    ones = schur_ones(S)
+    width = digit_width(ones)
+    k = 8 * width
+    num = den = 1
+    for j in range(1, a):
+        for i in range(j):
+            num *= (1 << k * (S[j] - S[i])) - 1
+        den *= ((1 << k * j) - 1) ** (a - j)
+    quo, rem = divmod(num, den)
     shift = 0
     for i in range(1, a + 1):
         shift += (a - i + 1) * (S[i - 1] - i)
-    num = [S[j] - S[i] for i in range(a) for j in range(i + 1, a)]
-    den = [j - i for i in range(a) for j in range(i + 1, a)]
-    out = one_minus_q_quotient(num, den).shifted(shift)
+    out = QPoly.from_packed(quo, width, shift)
+    if rem or out.eval_one() != ones:
+        raise ExactnessError(f"clp_q_dents({tuple(S)}) is not a polynomial "
+                             f"with coefficients summing to {ones}")
     if out and out.min_exp() < 0:
         raise ExactnessError(f"clp_q_dents({tuple(S)}) has a negative "
                              "exponent")
@@ -199,9 +219,9 @@ def gen_shuffle_rhs(inst: ShuffleInstance) -> Fraction:
     The barrier set drops out: the ratio only sees the dent data and y.
     """
     u, d, u2, d2 = inst.sizes
-    num = _schur_frac(inst.U) * _schur_frac(inst.D) * pp(u, d, inst.y)
-    den = _schur_frac(inst.U2) * _schur_frac(inst.D2) * pp(u2, d2, inst.y)
-    return num / den
+    num = schur_ones(inst.U) * schur_ones(inst.D) * pp(u, d, inst.y)
+    den = schur_ones(inst.U2) * schur_ones(inst.D2) * pp(u2, d2, inst.y)
+    return Fraction(num, den)
 
 
 def _gen_shuffle_rhs_collapsed_pp(inst: ShuffleInstance) -> Fraction:
@@ -209,9 +229,9 @@ def _gen_shuffle_rhs_collapsed_pp(inst: ShuffleInstance) -> Fraction:
     factor into their product. Rejected by the engines; kept so the harness
     can demonstrate that the collapse is wrong."""
     u, d, u2, d2 = inst.sizes
-    num = _schur_frac(inst.U) * _schur_frac(inst.D) * pp(u, d, inst.y)
-    den = _schur_frac(inst.U2) * _schur_frac(inst.D2) * pp(u2 * d2, inst.y, 1)
-    return num / den
+    num = schur_ones(inst.U) * schur_ones(inst.D) * pp(u, d, inst.y)
+    den = schur_ones(inst.U2) * schur_ones(inst.D2) * pp(u2 * d2, inst.y, 1)
+    return Fraction(num, den)
 
 
 def q_shift_exponent(inst: ShuffleInstance) -> int:

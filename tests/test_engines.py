@@ -186,6 +186,37 @@ def test_oracle_matches_axis_beyond_default_budget():
     assert qcount_brute(region, limit=150) == qcount_axis(hexagon)
 
 
+def _wide_spec(rng, y):
+    """x in 2..3, 2..x barriers, at least 3 dents on each side of the axis."""
+    while True:
+        x = rng.randint(2, 3)
+        n = rng.randint(3, 5)
+        L = x + y + n
+        U, D = [], []
+        for p in sorted(rng.sample(range(1, L + 1), n)):
+            side = rng.randrange(3)
+            if side != 1:
+                U.append(p)
+            if side != 0:
+                D.append(p)
+        if len(U) >= 3 and len(D) >= 3:
+            break
+    free = [k for k in range(1, L + 1) if k not in U and k not in D]
+    return make_spec(x, y, U, D, sorted(rng.sample(free, rng.randint(2, x))))
+
+
+def test_engines_agree_on_wide_barrier_corpus():
+    # 20 specs, y = 0..4 in turn: up to 240 triangles, beyond the default
+    # brute budget, but flat enough (height at most y + 5) for the oracle
+    rng = random.Random(8)
+    for i in range(20):
+        spec = _wide_spec(rng, i % 5)
+        region = build_region(spec)
+        m = len(region.triangles)
+        assert count_axis(spec) == count_brute(region, limit=m)
+        assert qcount_axis(spec) == qcount_brute(region, limit=m)
+
+
 def test_counts_are_deterministic():
     spec = make_spec(4, 3, (2, 4, 5, 8, 11), (4, 9, 11, 12), (6, 13))
     a = count_axis(spec)

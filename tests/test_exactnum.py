@@ -3,8 +3,7 @@ import random
 import pytest
 
 from dentedhex.exactnum import (InexactDivision, QPoly, QRatio,
-                                ZeroDenominator, one_minus_q_quotient,
-                                qratio_eq)
+                                ZeroDenominator, one_minus_q_quotient)
 
 q = QPoly.q()
 
@@ -18,6 +17,56 @@ def test_laurent_mul():
     p = QPoly.monomial(-1) + 1
     assert p * q == 1 + q
     assert QPoly.monomial(-2, 5) * QPoly.monomial(2) == 5
+
+
+def schoolbook(a, b):
+    c = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
+    return QPoly(c)
+
+
+def test_mul_matches_schoolbook():
+    rng = random.Random(16)
+    for _ in range(300):
+        a, b = (random_qpoly(rng, max_terms=rng.choice((1, 4, 30)),
+                             max_exp=20,
+                             max_coeff=2 ** rng.choice((1, 7, 64, 200)))
+                for _ in range(2))
+        assert a * b == schoolbook(a, b)
+        assert a * 0 == QPoly.zero() == QPoly.zero() * a
+        n = rng.randint(-2 ** 70, 2 ** 70)
+        assert a * n == n * a == schoolbook(a, QPoly.monomial(0, n))
+
+
+def test_mul_stores_no_zero_coefficients():
+    cases = [
+        (q - 1, q + 1),
+        (1 - q + q ** 2, 1 + q),
+        (sum((q ** i for i in range(9)), QPoly.zero()), 1 - q),
+        (2 ** 200 * q + 3 ** 90, 2 ** 200 * q - 3 ** 90),
+        (QPoly.monomial(-5, 7) - q, QPoly.monomial(-5, 7) + q),
+    ]
+    for a, b in cases:
+        p = a * b
+        assert p == schoolbook(a, b)
+        assert 0 not in dict(p.items()).values()
+    assert (1 - q + q ** 2) * (1 + q) == 1 + q ** 3
+
+
+def test_mul_at_the_coefficient_bound():
+    # (1+q+...+q^n)^2 has middle coefficient n+1 = min(len) * max|a| * max|b|;
+    # n+1 = 127 and 255 sit on the edge of one- and two-byte digits
+    for n in (0, 1, 126, 127, 254, 255):
+        ones = QPoly({i: 1 for i in range(n + 1)})
+        want = QPoly({m: min(m, 2 * n - m) + 1 for m in range(2 * n + 1)})
+        assert ones * ones == want
+        assert (-ones) * ones == -want
+        big = 2 ** 200 - 1
+        assert (big * ones) * (big * ones) == big * big * want
+    alt = QPoly({i: (-1) ** i for i in range(128)})
+    assert alt * alt == schoolbook(alt, alt)
 
 
 def test_eval_one():
@@ -110,7 +159,7 @@ def test_render_canonical():
 def test_qratio_eq():
     a = QRatio(q ** 2 - 1, q - 1)
     b = QRatio(q + 1, QPoly.one())
-    assert qratio_eq(a, b)
+    assert a == b
     assert QRatio(q, QPoly.one()) == QRatio(QPoly.one(), QPoly.monomial(-1))
     assert QRatio(q, QPoly.one()) != QRatio(QPoly.one(), QPoly.one())
 

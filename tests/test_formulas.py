@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from dentedhex.engines import count_brute, qcount_axis
-from dentedhex.exactnum import ExactnessError, QPoly, QRatio
+from dentedhex.exactnum import (ExactnessError, QPoly, QRatio, digit_width,
+                                one_minus_q_quotient)
 from dentedhex.formulas import (ClusterStats, IncompatibleClusters,
                                 ShuffleInstance, asym_rhs, clp, clp_q_dents,
                                 cluster_s_values, delta, delta_q,
@@ -25,6 +26,7 @@ q = QPoly.q()
 def test_pp_values():
     assert pp(1, 1, 1) == 2
     assert pp(3, 0, 5) == 1
+    assert pp(2, 2, 0) == pp(2, 2, -1) == 1
     assert pp(2, 2, 2) == 20
     # symmetric in its arguments
     assert pp(2, 3, 4) == pp(4, 2, 3) == pp(3, 4, 2)
@@ -72,6 +74,26 @@ def test_clp_q():
     # a dent left of the base would need a negative exponent
     with pytest.raises(ExactnessError):
         clp_q_dents((0,))
+    with pytest.raises(ValueError):
+        clp_q_dents((2, 2))
+
+
+def test_clp_q_dents_matches_one_minus_q_quotient():
+    # bases up to 30 make schur_ones(S), hence the packed digit, several
+    # bytes wide
+    rng = random.Random(35)
+    widths = set()
+    for _ in range(80):
+        base = rng.randint(1, 30)
+        a = rng.randint(0, min(15, base))
+        S = tuple(sorted(rng.sample(range(1, base + 1), a)))
+        num = [S[j] - S[i] for i in range(a) for j in range(i + 1, a)]
+        den = [j - i for i in range(a) for j in range(i + 1, a)]
+        shift = sum((a - i) * (S[i] - i - 1) for i in range(a))
+        want = one_minus_q_quotient(num, den).shifted(shift)
+        assert clp_q_dents(S) == want
+        widths.add(digit_width(schur_ones(S)))
+    assert min(widths) == 1 and max(widths) >= 4
 
 
 def test_delta():
