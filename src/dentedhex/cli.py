@@ -17,7 +17,8 @@ from .formulas import ShuffleInstance, gen_shuffle_rhs, q_shuffle_rhs, shuffle_r
 from .harness import engine_corpus, run_suite, summarize
 from .lattice import ClusterSpec, SpecError, build_region, spec_from_json_dict
 from .render import render_region_svg, render_tiling_svg
-from .theorems import TermBudgetExceeded, asym_table
+from .theorems import (TermBudgetExceeded, asym_table, check_thm1,
+                       check_thm2, check_thm3)
 
 
 def _load_spec(path: str):
@@ -66,30 +67,17 @@ def _instance_from_specs(a, b) -> ShuffleInstance:
     return ShuffleInstance(a.x, a.y, a.U, a.D, b.U, b.D, a.B)
 
 
+# --thm -> (predicted ratio, the check that compares it with the engines)
+_RATIO = {1: (shuffle_rhs, check_thm1), 2: (gen_shuffle_rhs, check_thm2),
+          3: (q_shuffle_rhs, check_thm3)}
+
+
 def _cmd_ratio(args) -> int:
     inst = _instance_from_specs(_load_spec(args.spec_a), _load_spec(args.spec_b))
-    if args.thm == 1:
-        value = shuffle_rhs(inst)
-        print(value)
-        if args.check:
-            ok = (count_axis(inst.spec_a()) * value.denominator
-                  == count_axis(inst.spec_b()) * value.numerator)
-            return 0 if ok else 2
-    elif args.thm == 2:
-        value = gen_shuffle_rhs(inst)
-        print(value)
-        if args.check:
-            ok = (count_axis(inst.spec_a()) * value.denominator
-                  == count_axis(inst.spec_b()) * value.numerator)
-            return 0 if ok else 2
-    else:
-        ratio = q_shuffle_rhs(inst)
-        print(ratio.render())
-        if args.check:
-            from .exactnum import QRatio
-            ok = QRatio(qcount_axis(inst.spec_a()),
-                        qcount_axis(inst.spec_b())) == ratio
-            return 0 if ok else 2
+    predict, check = _RATIO[args.thm]
+    print(predict(inst))
+    if args.check and not check(inst).passed:
+        return 2
     return 0
 
 

@@ -221,8 +221,6 @@ def crossing_subsets(free: Sequence[int], y: int) -> Iterator[tuple[int, ...]]:
 
 def count_axis(spec: ValidatedSpec) -> int:
     """Closed-form count: sum over crossing subsets of semihexagon products."""
-    if spec.y > len(spec.free):
-        return 0
     total = 0
     for S in crossing_subsets(spec.free, spec.y):
         upper = tuple(sorted(spec.U + S))
@@ -237,12 +235,11 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
     Upper halves are weighted as dented semihexagons; lower halves are the
     reflected dent sets evaluated at 1/q.
     """
-    if spec.y > len(spec.free):
-        return QPoly.zero()
-    total = QPoly.zero()
+    total: dict[int, int] = {}
     for S in crossing_subsets(spec.free, spec.y):
         upper = tuple(sorted(spec.U + S))
         lower = reflect_positions(sorted(spec.D + S), spec.L)
         term = clp_q_dents(upper) * clp_q_dents(lower).invert_variable()
-        total = total + term
-    return total
+        for e, v in term.items():
+            total[e] = total.get(e, 0) + v
+    return QPoly(total)

@@ -22,6 +22,11 @@ bound < 2^(k-1). Two bounds are used:
   value at q=1, schur_ones(S); so each coefficient is at most schur_ones(S).
   Its quotient of (Q^m - 1) products is one exact int division at
   Q = 2^k, checked by its remainder and by the digit sum.
+
+A packed operand holds one digit per exponent from its lowest to its
+highest, so a QPoly product costs time and memory in proportion to each
+operand's exponent span, not its term count: (1 + q^100000) * (1 + q)
+packs 100,001 digits.
 """
 
 from __future__ import annotations
@@ -108,9 +113,6 @@ class QPoly:
 
     def items(self):
         return self._c.items()
-
-    def coeff(self, exponent: int) -> int:
-        return self._c.get(exponent, 0)
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -343,10 +345,6 @@ class QRatio:
     def __post_init__(self):
         if not self.den:
             raise ZeroDenominator("QRatio denominator is zero")
-
-    @classmethod
-    def from_poly(cls, p: QPoly) -> "QRatio":
-        return cls(p, QPoly.one())
 
     @classmethod
     def from_int(cls, n: int) -> "QRatio":

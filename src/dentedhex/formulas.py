@@ -247,9 +247,9 @@ def q_shift_exponent(inst: ShuffleInstance) -> int:
 def q_shift_exponent_alt(inst: ShuffleInstance) -> int:
     """Variant without the size normalization; kept as a negative control.
 
-    The verification suite reports this variant side by side with
-    q_shift_exponent; the engines reject it whenever the normalization
-    term is nonzero.
+    _q_shuffle_rhs_alt_shift is the ratio with this q-power. The
+    verification suite reports it side by side with q_shuffle_rhs; the
+    engines reject it whenever the normalization term is nonzero.
     """
     x, y, n = inst.x, inst.y, inst.n
     u, d, u2, d2 = inst.sizes
@@ -267,30 +267,37 @@ def _range_set(k: int) -> tuple[int, ...]:
     return tuple(range(1, k + 1))
 
 
-def q_shuffle_rhs(inst: ShuffleInstance, shift: int | None = None,
-                  integer_gap_control: bool = False) -> QRatio:
+def q_shuffle_rhs(inst: ShuffleInstance) -> QRatio:
     """Predicted ratio of tiling generating functions, as a QRatio.
 
     numerator   q^shift * dq(U) dq(D) dq([u2]) dq([d2]) pp_q(u,d,y)
     denominator           dq(U2) dq(D2) dq([u]) dq([d]) pp_q(u2,d2,y)
 
-    where dq is delta_q and [k] = {1..k}. shift defaults to
-    q_shift_exponent(inst). integer_gap_control replaces the [d] factor by
-    the plain integer delta([d]) (a deliberately wrong reading used as a
-    negative control in the harness).
+    where dq is delta_q, [k] = {1..k} and shift = q_shift_exponent(inst).
     """
     u, d, u2, d2 = inst.sizes
-    if shift is None:
-        shift = q_shift_exponent(inst)
     num = (delta_q(inst.U) * delta_q(inst.D)
            * delta_q(_range_set(u2)) * delta_q(_range_set(d2))
-           * pp_q(u, d, inst.y)).shifted(shift)
-    den_d_factor = (QPoly.monomial(0, delta(_range_set(d)))
-                    if integer_gap_control else delta_q(_range_set(d)))
+           * pp_q(u, d, inst.y)).shifted(q_shift_exponent(inst))
     den = (delta_q(inst.U2) * delta_q(inst.D2)
-           * delta_q(_range_set(u)) * den_d_factor
+           * delta_q(_range_set(u)) * delta_q(_range_set(d))
            * pp_q(u2, d2, inst.y))
     return QRatio(num, den)
+
+
+def _q_shuffle_rhs_alt_shift(inst: ShuffleInstance) -> QRatio:
+    """Negative control: q_shuffle_rhs with the q-power of
+    q_shift_exponent_alt, i.e. without the size normalization."""
+    ratio = q_shuffle_rhs(inst)
+    return QRatio(ratio.num.shifted(-_size_normalization(inst)), ratio.den)
+
+
+def _q_shuffle_rhs_integer_gap(inst: ShuffleInstance) -> QRatio:
+    """Negative control: q_shuffle_rhs with the gap factor dq([d]) read as
+    the plain integer delta([d])."""
+    ratio = q_shuffle_rhs(inst)
+    gap = _range_set(len(inst.D))
+    return QRatio(ratio.num * delta_q(gap), ratio.den * delta(gap))
 
 
 @dataclass(frozen=True)

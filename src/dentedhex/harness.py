@@ -5,6 +5,11 @@ on a process pool) and emit one JSON line per report plus a summary line.
 Task lists and report bytes are independent of the worker count: tasks are
 built up front in a fixed order and results are collected in submission
 order, so --jobs only changes the wall clock.
+
+Each negative control is one row of _CONTROLS: a theorems check, run on a
+witness instance once with its validated prediction and once with a wrong
+one passed as rhs. The control report passes when the first passes and
+the second fails.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .formulas import ShuffleInstance, _size_normalization, asym_rhs, pp
+from .formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
+                       _q_shuffle_rhs_alt_shift, _q_shuffle_rhs_integer_gap,
+                       _size_normalization, asym_rhs, pp)
 from .lattice import ClusterSpec, ValidatedSpec, make_spec, spec_from_json_dict
 from . import theorems
 from .theorems import CheckReport, asym_table
@@ -37,24 +44,32 @@ def demo_spec() -> ValidatedSpec:
 # --- random instances -------------------------------------------------------
 
 
+def _random_dents(rng: random.Random, min_L: int, max_L: int, max_n: int):
+    """A side length L and n <= max_n occupied positions on it, each an up
+    dent (40%), a down dent (40%) or both (20%): (L, n, union, U, D)."""
+    L = rng.randint(min_L, max_L)
+    n = rng.randint(0, min(max_n, L))
+    union = sorted(rng.sample(range(1, L + 1), n))
+    U, D = [], []
+    for p in union:
+        r = rng.random()
+        if r < 0.4:
+            U.append(p)
+        elif r < 0.8:
+            D.append(p)
+        else:
+            U.append(p)
+            D.append(p)
+    return L, n, union, U, D
+
+
 def random_region_spec(rng: random.Random, max_L: int = 8, max_y: int = 2,
                        max_u: int = 2, max_d: int = 2, max_b: int = 1,
                        min_x: int = 0, min_y: int = 0) -> ValidatedSpec:
     """One valid region spec, uniform-ish over the allowed shapes."""
     while True:
-        L = rng.randint(max(1, min_x + min_y), max_L)
-        n = rng.randint(0, min(max_u + max_d, L))
-        union = sorted(rng.sample(range(1, L + 1), n))
-        U, D = [], []
-        for p in union:
-            r = rng.random()
-            if r < 0.4:
-                U.append(p)
-            elif r < 0.8:
-                D.append(p)
-            else:
-                U.append(p)
-                D.append(p)
+        L, n, union, U, D = _random_dents(rng, max(1, min_x + min_y), max_L,
+                                          max_u + max_d)
         if len(U) > max_u or len(D) > max_d:
             continue
         y = rng.randint(min_y, max_y)
@@ -73,19 +88,7 @@ def random_shuffle_instance(rng: random.Random, max_L: int = 10,
                             max_y: int = 3, max_n: int = 5) -> ShuffleInstance:
     """A valid shuffle instance; flips reassign the symmetric difference."""
     while True:
-        L = rng.randint(2, max_L)
-        n = rng.randint(0, min(max_n, L))
-        union = sorted(rng.sample(range(1, L + 1), n))
-        U, D = [], []
-        for p in union:
-            r = rng.random()
-            if r < 0.4:
-                U.append(p)
-            elif r < 0.8:
-                D.append(p)
-            else:
-                U.append(p)
-                D.append(p)
+        L, n, union, U, D = _random_dents(rng, 2, max_L, max_n)
         y = rng.randint(0, max_y)
         x = L - n - y
         if x < 0:
@@ -172,43 +175,8 @@ def _run_thm2(p: dict) -> CheckReport:
     return theorems.check_thm2(_inst_from_payload(p))
 
 
-def _run_thm2_pp_control(p: dict) -> CheckReport:
-    """Confirm the collapsed box factor is wrong: on the witness instance
-    the honest prediction must pass and the collapsed one must fail."""
-    inst = _inst_from_payload(p)
-    good = theorems.check_thm2(inst)
-    report = theorems.check_thm2(inst, collapsed_pp=True)
-    report.lhs = f"honest: {good.passed}"
-    report.rhs = f"collapsed: {report.passed}"
-    report.passed = good.passed and not report.passed
-    return report
-
-
 def _run_thm3(p: dict) -> CheckReport:
     return theorems.check_thm3(_inst_from_payload(p))
-
-
-def _run_thm3_shift_control(p: dict) -> CheckReport:
-    """Side-by-side report for the two q-power candidates on a witness
-    instance where they differ: the validated one must pass, the variant
-    without the size normalization must fail."""
-    inst = _inst_from_payload(p)
-    good = theorems.check_thm3(inst)
-    report = theorems.check_thm3(inst, use_alt_shift=True)
-    report.lhs = f"validated shift: {good.passed}"
-    report.rhs = f"alt shift: {report.passed}"
-    report.passed = good.passed and not report.passed
-    return report
-
-
-def _run_thm3_gap_control(p: dict) -> CheckReport:
-    inst = _inst_from_payload(p)
-    good = theorems.check_thm3(inst)
-    report = theorems.check_thm3(inst, integer_gap_control=True)
-    report.lhs = f"q-gap factor: {good.passed}"
-    report.rhs = f"integer gap factor: {report.passed}"
-    report.passed = good.passed and not report.passed
-    return report
 
 
 def _run_kuo(p: dict) -> CheckReport:
@@ -249,19 +217,44 @@ _RUNNERS: dict[str, Callable[[dict], CheckReport]] = {
     "thm1": _run_thm1,
     "pair_product": _run_pair_product,
     "thm2": _run_thm2,
-    "thm2_pp_control": _run_thm2_pp_control,
     "thm3": _run_thm3,
-    "thm3_shift_control": _run_thm3_shift_control,
-    "thm3_gap_control": _run_thm3_gap_control,
     "kuo": _run_kuo,
     "schur": _run_schur,
     "barrier": _run_barrier,
     "asym": _run_asym,
 }
 
+# task kind -> (theorems check, by name so it resolves through the module
+# when run; wrong prediction; report name; labels of the validated and the
+# wrong verdict)
+_CONTROLS: dict[str, tuple[str, Callable, str, str, str]] = {
+    "thm2_pp_control": ("check_thm2", _gen_shuffle_rhs_collapsed_pp,
+                        "thm2_collapsed_pp_control", "honest", "collapsed"),
+    "thm3_shift_control": ("check_thm3", _q_shuffle_rhs_alt_shift,
+                           "thm3_alt_shift_control", "validated shift",
+                           "alt shift"),
+    "thm3_gap_control": ("check_thm3", _q_shuffle_rhs_integer_gap,
+                         "thm3_integer_gap_control", "q-gap factor",
+                         "integer gap factor"),
+}
+
+
+def _run_control(kind: str, p: dict) -> CheckReport:
+    t0 = time.perf_counter()
+    check_name, wrong, name, good_label, bad_label = _CONTROLS[kind]
+    check = getattr(theorems, check_name)
+    inst = _inst_from_payload(p)
+    good = check(inst).passed
+    bad = check(inst, rhs=wrong).passed
+    return CheckReport(name, inst.to_json_dict(), f"{good_label}: {good}",
+                       f"{bad_label}: {bad}", good and not bad,
+                       time.perf_counter() - t0)
+
 
 def run_task(task: Task) -> CheckReport:
     kind, payload = task
+    if kind in _CONTROLS:
+        return _run_control(kind, payload)
     return _RUNNERS[kind](payload)
 
 
@@ -326,11 +319,7 @@ def build_suite(name: str, seed: int = 7, max_L: int | None = None,
         while made < m:
             spec = random_region_spec(rng, max_L=L, max_y=3, max_u=3,
                                       max_d=3, max_b=1, min_x=1, min_y=1)
-            if len(spec.free) + len(spec.B) < 2 or len(spec.B) >= spec.x:
-                continue
-            complement = [k for k in range(1, spec.L + 1)
-                          if k not in set(spec.U) | set(spec.D) | set(spec.B)]
-            if len(complement) < 2:
+            if len(spec.B) >= spec.x or len(spec.free) < 2:
                 continue
             tasks.append(("kuo", spec.to_json_dict()))
             made += 1
@@ -352,8 +341,7 @@ def build_suite(name: str, seed: int = 7, max_L: int | None = None,
         while made < (count or 2):
             sh = random_shuffle_instance(rng, max_L=max_L or 9,
                                          allow_flips=True, max_b=0)
-            free = [k for k in range(1, sh.L + 1)
-                    if k not in set(sh.U) | set(sh.D)]
+            free = list(sh.spec_a().free)
             if sh.x < 2 or len(free) < 2:
                 continue
             sets = [[], [free[0]], free[:2]]

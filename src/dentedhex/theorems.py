@@ -5,6 +5,11 @@ tolerance; pass means exact equality of integers or polynomials.
 The oracle hierarchy, strongest first: qcount_brute, count_brute,
 qcount_axis, count_axis, closed forms. Each check states which engine it
 leans on.
+
+check_thm1, check_thm2 and check_thm3 take the prediction they check as
+rhs, a function of the instance; None means the validated formula of
+formulas, looked up when the check runs. A negative control passes a
+wrong formula instead and expects the check to fail.
 """
 
 from __future__ import annotations
@@ -14,14 +19,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .engines import count_axis, count_brute, crossing_subsets, qcount_axis
 from .exactnum import QRatio
 from .formulas import (ClusterSpec, IncompatibleClusters, ShuffleInstance,
-                       _gen_shuffle_rhs_collapsed_pp, asym_rhs,
-                       gen_shuffle_rhs, q_shift_exponent_alt, q_shuffle_rhs,
-                       schur_ones, shuffle_rhs)
+                       asym_rhs, gen_shuffle_rhs, q_shuffle_rhs, schur_ones,
+                       shuffle_rhs)
 from .lattice import (SpecError, ValidatedSpec, build_region,
                       clusters_to_spec, make_spec)
 
@@ -58,17 +62,19 @@ def _report(name: str, instance: dict, lhs: str, rhs: str, passed: bool,
                        time.perf_counter() - t0)
 
 
-def check_thm1(inst: ShuffleInstance, rhs_scale: Fraction = Fraction(1)) -> CheckReport:
-    """Size-preserving shuffle: count ratio equals the delta-product ratio.
+def check_thm1(inst: ShuffleInstance,
+               rhs: Callable[[ShuffleInstance], Fraction] | None = None
+               ) -> CheckReport:
+    """Size-preserving shuffle: count ratio equals the delta-product ratio
+    (rhs, default shuffle_rhs).
 
     Verified as the exact integer identity count_a * rhs.den == count_b *
-    rhs.num. rhs_scale is a negative-control hook that multiplies the
-    predicted ratio before comparing.
+    rhs.num.
     """
     t0 = time.perf_counter()
     if inst.B:
         raise SpecError("the size-preserving identity is stated without barriers")
-    ratio = shuffle_rhs(inst) * rhs_scale
+    ratio = (rhs or shuffle_rhs)(inst)
     a = count_axis(inst.spec_a())
     b = count_axis(inst.spec_b())
     passed = a * ratio.denominator == b * ratio.numerator
@@ -96,18 +102,17 @@ def check_pair_product(inst: ShuffleInstance) -> CheckReport:
                    f"{a}*{fb}", f"{b}*{fa}", passed, t0)
 
 
-def check_thm2(inst: ShuffleInstance, collapsed_pp: bool = False) -> CheckReport:
-    """General shuffle with flips and barriers: count ratio equals
-    gen_shuffle_rhs. collapsed_pp switches in the known-bad box factor as a
-    negative control."""
+def check_thm2(inst: ShuffleInstance,
+               rhs: Callable[[ShuffleInstance], Fraction] | None = None
+               ) -> CheckReport:
+    """General shuffle with flips and barriers: count ratio equals rhs,
+    default gen_shuffle_rhs."""
     t0 = time.perf_counter()
-    ratio = (_gen_shuffle_rhs_collapsed_pp(inst) if collapsed_pp
-             else gen_shuffle_rhs(inst))
+    ratio = (rhs or gen_shuffle_rhs)(inst)
     a = count_axis(inst.spec_a())
     b = count_axis(inst.spec_b())
     passed = a * ratio.denominator == b * ratio.numerator
-    name = "thm2_collapsed_pp_control" if collapsed_pp else "thm2"
-    return _report(name, inst.to_json_dict(), f"{a}/{b}", str(ratio),
+    return _report("thm2", inst.to_json_dict(), f"{a}/{b}", str(ratio),
                    passed, t0)
 
 
@@ -135,27 +140,18 @@ def check_barrier_independence(inst: ShuffleInstance,
                    "all cross-products equal", passed, t0)
 
 
-def check_thm3(inst: ShuffleInstance, use_alt_shift: bool = False,
-               integer_gap_control: bool = False) -> CheckReport:
+def check_thm3(inst: ShuffleInstance,
+               rhs: Callable[[ShuffleInstance], QRatio] | None = None
+               ) -> CheckReport:
     """Weighted shuffle: the ratio of tiling generating functions equals
-    q_shuffle_rhs, compared by cross-multiplication of Laurent polynomials.
-
-    use_alt_shift swaps in the rejected q-power variant; integer_gap_control
-    swaps in the known-bad integer gap factor. Both are negative controls.
-    """
+    rhs, default q_shuffle_rhs, compared by cross-multiplication of
+    Laurent polynomials."""
     t0 = time.perf_counter()
-    shift = q_shift_exponent_alt(inst) if use_alt_shift else None
-    rhs = q_shuffle_rhs(inst, shift=shift,
-                        integer_gap_control=integer_gap_control)
+    ratio = (rhs or q_shuffle_rhs)(inst)
     a = qcount_axis(inst.spec_a())
     b = qcount_axis(inst.spec_b())
-    passed = QRatio(a, b) == rhs
-    name = "thm3"
-    if use_alt_shift:
-        name = "thm3_alt_shift_control"
-    if integer_gap_control:
-        name = "thm3_integer_gap_control"
-    return _report(name, inst.to_json_dict(), f"({a}) / ({b})", str(rhs),
+    passed = QRatio(a, b) == ratio
+    return _report("thm3", inst.to_json_dict(), f"({a}) / ({b})", str(ratio),
                    passed, t0)
 
 
@@ -175,11 +171,9 @@ def check_kuo(spec: ValidatedSpec) -> CheckReport:
     t0 = time.perf_counter()
     if spec.x < 1 or spec.y < 1:
         raise SpecError("recurrence needs x >= 1 and y >= 1")
-    complement = [k for k in range(1, spec.L + 1)
-                  if k not in set(spec.U) | set(spec.D) | set(spec.B)]
-    if len(complement) < 2:
+    if len(spec.free) < 2:
         raise NoDistinctAlphaBeta("need two distinct removable positions")
-    alpha, beta = complement[0], complement[-1]
+    alpha, beta = spec.free[0], spec.free[-1]
 
     def mq(x, y, extra):
         U = tuple(sorted(spec.U + extra))

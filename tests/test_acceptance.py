@@ -5,13 +5,12 @@ output) for the summary. Seeds and instance counts are pinned here.
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from dentedhex.cli import main
 from dentedhex.engines import count_axis, count_brute, qcount_axis, qcount_brute
 from dentedhex.formulas import (ShuffleInstance, asym_rhs, clp,
-                                gen_shuffle_rhs, q_shuffle_rhs)
+                                gen_shuffle_rhs, q_shuffle_rhs, shuffle_rhs)
 from dentedhex.harness import (engine_corpus, random_shuffle_instance,
                                run_suite, summarize)
 from dentedhex.lattice import (ClusterSpec, SemihexSpec, build_region,
@@ -76,7 +75,7 @@ def test_criterion_04_shuffle_theorem():
                  for _ in range(100)]
         for inst in insts:
             assert check_thm1(inst).passed
-        assert not check_thm1(insts[0], rhs_scale=Fraction(2)).passed
+        assert not check_thm1(insts[0], rhs=lambda i: 2 * shuffle_rhs(i)).passed
 
     _criterion(4, "100 size-preserving shuffles pass exactly; corrupted "
                   "control fails", run)

@@ -55,6 +55,36 @@ def test_ratio_swap(tmp_path, capsys):
     assert main(["ratio", "--thm", "3", "--spec-a", a, "--spec-b", b, "--check"]) == 0
 
 
+@pytest.mark.parametrize("thm, engine", [("1", "count_axis"),
+                                         ("2", "count_axis"),
+                                         ("3", "qcount_axis")])
+def test_ratio_check_fails_on_corrupted_count(tmp_path, monkeypatch, thm,
+                                              engine):
+    # --check runs theorems.check_thm{1,2,3}: a corrupted count must exit 2
+    import dentedhex.theorems as th
+    real = getattr(th, engine)
+    monkeypatch.setattr(th, engine, lambda spec: 2 * real(spec)
+                        if spec.U == (1, 3) else real(spec))
+    a = _spec_file(tmp_path, "a.json", {"x": 1, "y": 1, "U": [1, 3], "D": [2], "B": []})
+    b = _spec_file(tmp_path, "b.json", {"x": 1, "y": 1, "U": [2, 3], "D": [1], "B": []})
+    assert main(["ratio", "--thm", thm, "--spec-a", a, "--spec-b", b,
+                 "--check"]) == 2
+
+
+def test_ratio_thm1_check_rejects_barriers(tmp_path, capsys):
+    a = _spec_file(tmp_path, "a.json", {"x": 2, "y": 1, "U": [1, 3], "D": [2], "B": [4]})
+    b = _spec_file(tmp_path, "b.json", {"x": 2, "y": 1, "U": [2, 3], "D": [1], "B": [4]})
+    assert main(["ratio", "--thm", "1", "--spec-a", a, "--spec-b", b]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert main(["ratio", "--thm", "1", "--spec-a", a, "--spec-b", b,
+                 "--check"]) == 1
+    assert "without barriers" in capsys.readouterr().err
+    # the general shuffle covers the same pair, barriers included
+    assert main(["ratio", "--thm", "2", "--spec-a", a, "--spec-b", b,
+                 "--check"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
 def test_ratio_flips(tmp_path, capsys):
     a = _spec_file(tmp_path, "a.json", {"x": 2, "y": 1, "U": [1, 2], "D": [], "B": []})
     b = _spec_file(tmp_path, "b.json", {"x": 2, "y": 1, "U": [1], "D": [2], "B": []})

@@ -1,10 +1,11 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from dentedhex.engines import qcount_axis, qcount_brute
-from dentedhex.formulas import ShuffleInstance
+from dentedhex.formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
+                                _q_shuffle_rhs_alt_shift,
+                                _q_shuffle_rhs_integer_gap, shuffle_rhs)
 from dentedhex.harness import (demo_spec, random_region_spec,
                                random_shuffle_instance, run_task)
 from dentedhex.lattice import ClusterSpec, SpecError, build_region, make_spec
@@ -24,7 +25,7 @@ def test_check_thm1():
     r = check_thm1(SWAP)
     assert r.passed and r.rhs == "2"
     # negative control: a corrupted prediction must fail
-    assert not check_thm1(SWAP, rhs_scale=Fraction(2)).passed
+    assert not check_thm1(SWAP, rhs=lambda i: 2 * shuffle_rhs(i)).passed
 
 
 def test_check_pair_product():
@@ -45,7 +46,7 @@ def test_check_thm2():
 def test_thm2_collapsed_pp_control_fails_somewhere():
     witness = ShuffleInstance(2, 1, (1, 2, 3), (4,), (1, 2), (3, 4))
     assert check_thm2(witness).passed
-    assert not check_thm2(witness, collapsed_pp=True).passed
+    assert not check_thm2(witness, rhs=_gen_shuffle_rhs_collapsed_pp).passed
 
 
 def test_check_thm2_agrees_with_thm1_on_matching_sizes():
@@ -88,10 +89,10 @@ def test_check_thm3():
     # wrong q-power variant and wrong gap factor must fail where they differ
     witness = ShuffleInstance(2, 1, (1, 2, 3), (4,), (1, 2), (3, 4))
     assert check_thm3(witness).passed
-    assert not check_thm3(witness, use_alt_shift=True).passed
+    assert not check_thm3(witness, rhs=_q_shuffle_rhs_alt_shift).passed
     gap_witness = ShuffleInstance(2, 1, (1, 4), (2, 3), (1, 2), (3, 4))
     assert check_thm3(gap_witness).passed
-    assert not check_thm3(gap_witness, integer_gap_control=True).passed
+    assert not check_thm3(gap_witness, rhs=_q_shuffle_rhs_integer_gap).passed
 
 
 def test_thm3_on_demo_transposition():
@@ -219,3 +220,19 @@ def test_kuo_on_demo_region():
 def test_run_task_dispatch():
     report = run_task(("thm1", SWAP.to_json_dict()))
     assert report.passed and report.name == "thm1"
+    # negative controls: the validated prediction passes, the wrong one fails
+    witness = ShuffleInstance(2, 1, (1, 2, 3), (4,), (1, 2), (3, 4))
+    gap_witness = ShuffleInstance(2, 1, (1, 4), (2, 3), (1, 2), (3, 4))
+    for kind, inst, want in (
+            ("thm2_pp_control", witness, ("thm2_collapsed_pp_control",
+                                          "honest: True", "collapsed: False")),
+            ("thm3_shift_control", witness, ("thm3_alt_shift_control",
+                                             "validated shift: True",
+                                             "alt shift: False")),
+            ("thm3_gap_control", gap_witness, ("thm3_integer_gap_control",
+                                               "q-gap factor: True",
+                                               "integer gap factor: False"))):
+        report = run_task((kind, inst.to_json_dict()))
+        assert report.passed
+        assert (report.name, report.lhs, report.rhs) == want
+        assert report.instance == inst.to_json_dict()
