@@ -15,10 +15,10 @@ from .engines import (RegionTooLarge, count_axis, count_brute,
                       enumerate_tilings, qcount_axis, qcount_brute)
 from .formulas import ShuffleInstance, gen_shuffle_rhs, q_shuffle_rhs, shuffle_rhs
 from .harness import engine_corpus, run_suite, summarize
-from .lattice import ClusterSpec, SpecError, build_region, spec_from_json_dict
+from .lattice import (ClusterSpec, SpecError, build_region, make_spec,
+                      spec_from_json_dict)
 from .render import render_region_svg, render_tiling_svg
-from .theorems import (TermBudgetExceeded, asym_table, check_thm1,
-                       check_thm2, check_thm3)
+from .theorems import asym_table, check_thm1, check_thm2, check_thm3
 
 
 def _load_spec(path: str):
@@ -41,8 +41,19 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _region_spec(args):
+    """The region of count/qcount: --spec, or the pure hexagon --x, --y."""
+    if args.spec is not None:
+        if args.x is not None or args.y is not None:
+            raise SpecError("give --spec or --x/--y, not both")
+        return _load_spec(args.spec)
+    if args.x is None or args.y is None:
+        raise SpecError("give --spec, or both --x and --y")
+    return make_spec(args.x, args.y)
+
+
 def _cmd_count(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _region_spec(args)
     if args.engine == "brute":
         value = count_brute(build_region(spec), limit=args.limit)
     else:
@@ -52,7 +63,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_qcount(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _region_spec(args)
     if args.engine == "brute":
         poly = qcount_brute(build_region(spec), limit=args.limit)
     else:
@@ -96,8 +107,7 @@ def _cmd_verify(args) -> int:
 def _cmd_asym(args) -> int:
     c = _load_clusters(args.clusters)
     c2 = _load_clusters(args.clusters_alt)
-    table = asym_table(c, c2, args.x, args.y, args.nmax,
-                       term_budget=args.term_budget)
+    table = asym_table(c, c2, args.x, args.y, args.nmax)
 
     def emit(fh):
         buf = csv.writer(fh)
@@ -153,15 +163,21 @@ def build_parser() -> argparse.ArgumentParser:
     def add_spec(p):
         p.add_argument("--spec", required=True, help="region spec JSON file")
 
+    def add_region(p):
+        p.add_argument("--spec", help="region spec JSON file")
+        p.add_argument("--x", type=int, help="pure hexagon (x, y), "
+                       "instead of --spec")
+        p.add_argument("--y", type=int)
+
     p = sub.add_parser("count", help="exact tiling count of a region")
-    add_spec(p)
+    add_region(p)
     p.add_argument("--engine", choices=("axis", "brute"), default="axis")
     p.add_argument("--limit", type=int, default=None,
                    help="brute-force triangle budget")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("qcount", help="tiling generating function in q")
-    add_spec(p)
+    add_region(p)
     p.add_argument("--engine", choices=("axis", "brute"), default="axis")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--at-one", action="store_true",
@@ -194,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--term-budget", type=int, default=200_000)
     p.add_argument("--float", action="store_true",
                    help="append float convenience columns")
     p.add_argument("--out", default=None)
@@ -226,7 +241,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (SpecError, RegionTooLarge, TermBudgetExceeded, OSError,
+    except (SpecError, RegionTooLarge, OSError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

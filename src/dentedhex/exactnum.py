@@ -13,7 +13,7 @@ bits per coefficient. Packed values multiply as the polynomials do, and
 QPoly.from_packed reads the product back as balanced digits in
 (-2^(k-1), 2^(k-1)), which is exact as long as every coefficient lies in
 that range. digit_width(bound) picks the least whole-byte k with
-bound < 2^(k-1). Two bounds are used:
+bound < 2^(k-1). Three bounds are used:
 
 - QPoly.__mul__: a product coefficient sums at most min(len a, len b)
   terms, each at most max|a| * max|b| in magnitude.
@@ -22,6 +22,10 @@ bound < 2^(k-1). Two bounds are used:
   value at q=1, schur_ones(S); so each coefficient is at most schur_ones(S).
   Its quotient of (Q^m - 1) products is one exact int division at
   Q = 2^k, checked by its remainder and by the digit sum.
+- engines.qcount_axis: the same argument with count_axis(spec) as the
+  bound on the result's coefficients; its weights, products of m
+  binomials q^i - q^j, enter the determinant as QPoly.packed values, and
+  their coefficients sum in absolute value to at most 2^m.
 
 A packed operand holds one digit per exponent from its lowest to its
 highest, so a QPoly product costs time and memory in proportion to each
@@ -110,6 +114,17 @@ class QPoly:
                   for i in range(0, count * width, width)]
         h = 1 << (k - 1)
         return cls._raw({e: v - h for e, v in enumerate(digits, low) if v != h})
+
+    def packed(self, width: int) -> int:
+        """P(2^k), k = 8*width, for a polynomial P with no negative exponent
+        and every coefficient of magnitude below 2^(k-1)."""
+        if not self._c:
+            return 0
+        low = min(self._c)
+        if low < 0:
+            raise ValueError("packed() needs a polynomial without negative "
+                             "exponents")
+        return _pack(self._c, low, max(self._c), width) << 8 * width * low
 
     def items(self):
         return self._c.items()

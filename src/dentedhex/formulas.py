@@ -8,7 +8,7 @@ ExactnessError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Sequence
@@ -158,6 +158,9 @@ class ShuffleInstance:
     U2: tuple[int, ...]
     D2: tuple[int, ...]
     B: tuple[int, ...] = ()
+    # the two validated regions, built once in __post_init__
+    _spec_a: ValidatedSpec = field(init=False, compare=False, repr=False)
+    _spec_b: ValidatedSpec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "U", tuple(self.U))
@@ -165,20 +168,22 @@ class ShuffleInstance:
         object.__setattr__(self, "U2", tuple(self.U2))
         object.__setattr__(self, "D2", tuple(self.D2))
         object.__setattr__(self, "B", tuple(self.B))
-        a = self.spec_a()
-        b = self.spec_b()
+        a = make_spec(self.x, self.y, self.U, self.D, self.B)
+        b = make_spec(self.x, self.y, self.U2, self.D2, self.B)
         if set(self.U) | set(self.D) != set(self.U2) | set(self.D2):
             raise SpecError("shuffle must preserve the union of dents")
         if set(self.U) & set(self.D) != set(self.U2) & set(self.D2):
             raise SpecError("shuffle must preserve the intersection of dents")
         if a.L != b.L:
             raise ExactnessError("shuffle changed the side length L")
+        object.__setattr__(self, "_spec_a", a)
+        object.__setattr__(self, "_spec_b", b)
 
     def spec_a(self) -> ValidatedSpec:
-        return make_spec(self.x, self.y, self.U, self.D, self.B)
+        return self._spec_a
 
     def spec_b(self) -> ValidatedSpec:
-        return make_spec(self.x, self.y, self.U2, self.D2, self.B)
+        return self._spec_b
 
     @property
     def n(self) -> int:

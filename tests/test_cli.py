@@ -4,6 +4,7 @@ import pytest
 
 from dentedhex.cli import main
 from dentedhex.engines import count_axis, qcount_axis
+from dentedhex.formulas import pp
 from dentedhex.harness import DEMO_SPEC_JSON, demo_spec
 
 
@@ -24,6 +25,18 @@ def test_count(demo_file, capsys):
     assert main(["count", "--spec", demo_file]) == 0
     out = capsys.readouterr().out.strip()
     assert out == str(count_axis(demo_spec()))
+
+
+def test_count_pure_hexagon(demo_file, capsys):
+    assert main(["count", "--x", "40", "--y", "40"]) == 0
+    assert capsys.readouterr().out.strip() == str(pp(40, 40, 40))
+    assert main(["qcount", "--x", "1", "--y", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "1*q^-1 + 1*q^1"
+    for argv in (["count", "--x", "3"],
+                 ["count", "--spec", demo_file, "--x", "1", "--y", "1"],
+                 ["count", "--x", "-1", "--y", "2"]):
+        assert main(argv) == 1
+        assert "error" in capsys.readouterr().err
 
 
 def test_count_brute_small(tmp_path, capsys):
@@ -99,7 +112,7 @@ def test_bad_input_exit_code(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    assert main(["count"]) == 1  # missing --spec
+    assert main(["count"]) == 1  # neither --spec nor --x/--y
     capsys.readouterr()
     assert main(["--help"]) == 0
     capsys.readouterr()

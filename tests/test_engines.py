@@ -1,13 +1,15 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
-from dentedhex.engines import (RegionTooLarge, count_axis, count_brute,
-                               crossing_subsets, enumerate_tilings,
-                               qcount_axis, qcount_brute, tiling_qweight)
-from dentedhex.exactnum import QPoly
+from dentedhex.engines import (RegionTooLarge, _hankel_det, count_axis,
+                               count_brute, enumerate_tilings, qcount_axis,
+                               qcount_brute, tiling_qweight)
+from dentedhex.exactnum import ExactnessError, QPoly
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
 from dentedhex.harness import engine_corpus, random_region_spec
+from dentedhex.theorems import crossing_subsets
 from dentedhex.lattice import (SemihexSpec, build_region,
                                build_semihex_region, flip_spec,
                                lozenge_triangles, make_spec, mirror_spec,
@@ -223,3 +225,104 @@ def test_counts_are_deterministic():
     b = count_axis(spec)
     assert a == b
     assert qcount_axis(spec).render() == qcount_axis(spec).render()
+
+
+def _crossing_sum(spec):
+    """The axis cut written out: sum over y-subsets S of the free positions
+    of the upper and lower dented-semihexagon counts, and the same for the
+    q-weights (the lower half reflected and evaluated at 1/q)."""
+    count, weights = 0, {}
+    for S in combinations(spec.free, spec.y):
+        upper = tuple(sorted(spec.U + S))
+        lower = tuple(sorted(spec.D + S))
+        count += schur_ones(upper) * schur_ones(lower)
+        term = (clp_q_dents(upper)
+                * clp_q_dents(reflect_positions(lower, spec.L)).invert_variable())
+        for e, v in term.items():
+            weights[e] = weights.get(e, 0) + v
+    return count, QPoly(weights)
+
+
+def _shared_dent_spec(rng, y):
+    """x in 1..4, 2..5 dents of which at least one is shared by U and D,
+    up to min(x, 2) barriers."""
+    x = rng.randint(1, 4)
+    n = rng.randint(2, 5)
+    L = x + y + n
+    union = sorted(rng.sample(range(1, L + 1), n))
+    shared = rng.choice(union)
+    U, D = [], []
+    for p in union:
+        side = 1 if p == shared else rng.randrange(3)
+        if side != 2:
+            U.append(p)
+        if side != 0:
+            D.append(p)
+    free = [k for k in range(1, L + 1) if k not in union]
+    return make_spec(x, y, U, D, sorted(rng.sample(free, rng.randint(0, min(x, 2)))))
+
+
+def test_axis_engine_matches_crossing_sum():
+    # 42 specs, y = 0..6 in turn: shared dents, barriers, and regions of up
+    # to several hundred triangles, past the oracle's default budget
+    rng = random.Random(12)
+    largest = 0
+    for i in range(42):
+        spec = _shared_dent_spec(rng, i % 7)
+        largest = max(largest, len(build_region(spec).triangles))
+        count, weights = _crossing_sum(spec)
+        assert count_axis(spec) == count
+        assert qcount_axis(spec) == weights
+    assert largest > 120
+
+
+def test_qcount_axis_weights_wider_than_the_count():
+    # all dents shared and packed around the one free position: a single
+    # tiling, but the weight's coefficients reach 226, past a one-byte digit
+    U = (1, 2, 3, 4, 6, 7, 8, 9)
+    spec = make_spec(0, 1, U, U)
+    region = build_region(spec)
+    assert count_axis(spec) == 1
+    assert qcount_axis(spec) == _crossing_sum(spec)[1]
+    assert qcount_axis(spec) == qcount_brute(region, limit=146)
+
+
+def test_axis_engine_on_large_hexagons():
+    assert count_axis(make_spec(20, 20)) == pp(20, 20, 20)
+    big = count_axis(make_spec(40, 40))
+    assert big == pp(40, 40, 40) and len(str(big)) == 546
+    hexagon = make_spec(8, 8)
+    assert qcount_axis(hexagon).eval_one() == count_axis(hexagon)
+
+
+def _leibniz_det(m):
+    n, total = len(m), 0
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def test_hankel_det():
+    assert _hankel_det([], 0) == 1
+    rng = random.Random(13)
+    for n in range(1, 5):
+        nodes = rng.sample(range(-9, 10), n + 2)
+        weights = [rng.randint(1, 50) for _ in nodes]
+        moments = [sum(w * z ** m for w, z in zip(weights, nodes))
+                   for m in range(2 * n - 1)]
+        want = _leibniz_det([moments[i:i + n] for i in range(n)])
+        assert want > 0
+        assert _hankel_det(moments, n) == want
+    # fewer distinct nodes than rows: singular, so a pivot vanishes
+    with pytest.raises(ExactnessError):
+        _hankel_det([2, 2, 2], 2)
+    with pytest.raises(ExactnessError):
+        _hankel_det([-1], 1)

@@ -69,6 +69,21 @@ def test_mul_at_the_coefficient_bound():
     assert alt * alt == schoolbook(alt, alt)
 
 
+def test_packed_evaluates_at_a_power_of_two():
+    rng = random.Random(14)
+    for width in (1, 2, 5):
+        h = 1 << (8 * width - 1)
+        for _ in range(20):
+            p = QPoly({e: rng.randint(-h + 1, h - 1)
+                       for e in rng.sample(range(0, 30), rng.randint(1, 8))})
+            n = p.packed(width)
+            assert n == sum(v << 8 * width * e for e, v in p.items())
+            assert QPoly.from_packed(n, width, 0) == p
+    assert QPoly.zero().packed(1) == 0
+    with pytest.raises(ValueError):
+        QPoly.monomial(-1).packed(1)
+
+
 def test_eval_one():
     assert (q ** 2 + q).eval_one() == 2
     assert QPoly.zero().eval_one() == 0

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +10,10 @@ from dentedhex.formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
 from dentedhex.harness import (demo_spec, random_region_spec,
                                random_shuffle_instance, run_task)
 from dentedhex.lattice import ClusterSpec, SpecError, build_region, make_spec
-from dentedhex.theorems import (NoDistinctAlphaBeta, TermBudgetExceeded,
-                                asym_table, check_barrier_independence,
-                                check_kuo, check_pair_product,
-                                check_schur_sum, check_thm1, check_thm2,
-                                check_thm3)
+from dentedhex.theorems import (NoDistinctAlphaBeta, asym_table,
+                                check_barrier_independence, check_kuo,
+                                check_pair_product, check_schur_sum,
+                                check_thm1, check_thm2, check_thm3)
 
 IDENT = ShuffleInstance(1, 1, (1, 3), (2,), (1, 3), (2,))
 SWAP = ShuffleInstance(1, 1, (1, 3), (2,), (2, 3), (1,))
@@ -182,6 +182,16 @@ def test_check_schur_sum():
         check_schur_sum(make_spec(2, 1, (), (), (1,)))
 
 
+def test_check_schur_sum_fails_on_wrong_axis_count(monkeypatch):
+    import dentedhex.theorems as theorems_mod
+    spec = make_spec(2, 1, (1,), (3,))
+    good = check_schur_sum(spec)
+    monkeypatch.setattr(theorems_mod, "count_axis", lambda s: 1)
+    bad = check_schur_sum(spec)
+    assert good.passed and not bad.passed
+    assert (bad.lhs, bad.rhs) == (good.lhs, good.rhs)
+
+
 def test_asym_table_families():
     c = ClusterSpec((("up", "down", "up"), ("down",)), (2,))
     c2 = ClusterSpec((("up", "up", "down"), ("down",)), (2,))
@@ -198,10 +208,16 @@ def test_asym_table_families():
     assert all(r.ratio == t.limit for r in t.rows)
 
 
-def test_asym_table_budget():
+def test_asym_table_reaches_n12():
+    # N = 12 sums over C(24, 12) = 2,704,156 crossing subsets per count
     c = ClusterSpec((("up", "down", "up"), ("down",)), (2,))
-    with pytest.raises(TermBudgetExceeded):
-        asym_table(c, c, 1, 1, 6, term_budget=10)
+    c2 = ClusterSpec((("up", "up", "down"), ("down",)), (2,))
+    table = asym_table(c, c2, 1, 1, 12)
+    assert [r.N for r in table.rows] == list(range(1, 13))
+    assert [r.ratio for r in table.rows] == [
+        Fraction(4 * N + 4, 2 * N + 1) for N in range(1, 13)]
+    assert table.rows[-1].ratio == Fraction(52, 25)
+    assert table.rows[-1].deviation == Fraction(1, 25)
 
 
 def test_reports_serialize_without_timing():
