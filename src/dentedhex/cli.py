@@ -153,6 +153,18 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low, else a usage error (exit 1)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {value}")
+        return value
+    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dentedhex",
@@ -197,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("thm1", "thm2", "thm3", "kuo", "schur",
                             "barrier", "asym", "all"))
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-L", type=int, default=None, dest="max_L")
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--max-L", type=_int_at_least(1), default=None,
+                   dest="max_L")
+    p.add_argument("--count", type=_int_at_least(1), default=None,
                    help="override the per-suite instance count")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
@@ -217,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="SVG of a region or one tiling")
     add_spec(p)
-    p.add_argument("--tiling", type=int, default=None,
+    p.add_argument("--tiling", type=_int_at_least(0), default=None,
                    help="index into the deterministic tiling enumeration")
     p.add_argument("--unit", type=float, default=24.0, help="pixels per unit")
     p.add_argument("--out", default=None)

@@ -2,21 +2,25 @@
 
 count_brute / qcount_brute sum over the perfect matchings of the region's
 dual graph (vertices = unit triangles, edges = shared sides honoring the
-forbidden crossing positions). A depth-first search always branches on the
-lowest-indexed uncovered triangle, so the covered set is a prefix plus a
-thin frontier; memoizing on it makes the search a frontier
-(transfer-matrix) DP that counts every tiling without visiting each one.
-They are the oracle: simple, and obviously faithful to the region.
-enumerate_tilings is the only per-tiling walk, for rendering.
+forbidden crossing positions). A forward transfer-matrix DP walks the
+triangles in sorted order; before step i every earlier triangle is
+covered, so a partial matching is known by the set of later triangles it
+already covers, and one dict (that set -> summed value) is all it keeps.
+It counts every tiling without visiting each one. They are the oracle:
+simple, and obviously faithful to the region. enumerate_tilings is the
+only per-tiling walk, for rendering.
 
-BRUTE_LIMIT stays at 120 triangles although the DP reaches far larger
-regions. Its memory grows with the number of frontier states, which
-depends on the region's shape more than on its size: the flat
-make_spec(300, 2) (2,408 triangles) has 11,701 states, while the tall
-make_spec(2, 12) (384 triangles) already has 126,764, and the count
-climbs steeply with y. The same budget also guards enumerate_tilings,
-which is exponential. Callers that know their region is flat pass an
-explicit limit; raising the default waits for a measured state bound.
+The DP's memory follows its largest single layer, not every state it
+ever reaches, and the layer width depends on the region's height more
+than on its size: the flat make_spec(300, 2) (2,408 triangles) peaks at
+10 states, the tall make_spec(2, 12) (384 triangles) at 1,105 and
+make_spec(8, 8) (384 triangles) at 22,308. make_spec(8, 8) counts in
+about 1 s and 20 MB of peak RSS, make_spec(10, 10) in about 27 s and
+77 MB (Python 3.11, one core of a 2-vCPU machine). BRUTE_LIMIT stays at
+120 triangles all the same: it also guards enumerate_tilings, which is
+exponential, and the CLI tests rely on it to refuse rendering a tiling of
+the 298-triangle demo region. Callers that want a larger region counted
+pass an explicit limit.
 
 count_axis / qcount_axis cut every tiling along the axis. Exactly y of the
 free base positions are straddled by vertical lozenges, so the count is
@@ -131,64 +135,58 @@ def _check_size(region: TriangularRegion, limit: int | None):
     return m
 
 
-def _matching_sum(region: TriangularRegion, one, combine):
-    """Sum over the perfect matchings of the dual graph, memoized on the
-    covered bitmask.
+def _matching_sum(region: TriangularRegion, one, zero, shift):
+    """Sum over the perfect matchings of the dual graph, one triangle at a
+    time.
 
-    A state is worth combine([(child value, edge weight), ...]) over its
-    moves (combine([]) at a dead end); the fully covered state, which for
-    the empty region is the start, is worth `one`. The post-order DFS
-    keeps an explicit stack, so deep regions do not hit the interpreter's
-    recursion limit.
+    Before step i every triangle below i is covered, so a partial matching
+    is known by which later triangles it covers: bit d of the state is
+    triangle i + d. A layer maps each state to the summed value of its
+    partial matchings. Step i shifts a covered triangle out; an uncovered
+    one is matched with each free partner j > i, the value times q^w
+    (shift(value, w)). The full region is the state 0 after the last step;
+    the empty region never steps and is worth `one`.
     """
     if len(region.triangles) % 2:
-        return combine([])
+        return zero
     _, partners = _dual_graph(region)
-    full = (1 << len(partners)) - 1
-    memo = {full: one}
-    pending: dict[int, list[tuple[int, int]]] = {}
-    stack = [0]
-    while stack:
-        covered = stack.pop()
-        if covered in memo:
-            continue
-        moves = pending.pop(covered, None)
-        if moves is None:
-            low = ~covered & (covered + 1)
-            moves = [(covered | low | 1 << j, w)
-                     for j, w in partners[low.bit_length() - 1]
-                     if not covered >> j & 1]
-            todo = [c for c, _ in moves if c not in memo]
-            if todo:
-                pending[covered] = moves
-                stack.append(covered)
-                stack += todo
+    layer = {0: one}
+    for i, ps in enumerate(partners):
+        mates = [(1 << j - i, w) for j, w in ps if j > i]
+        nxt: dict = {}
+        get = nxt.get
+        for state, v in layer.items():
+            if state & 1:
+                s = state >> 1
+                old = get(s)
+                nxt[s] = v if old is None else old + v
                 continue
-        memo[covered] = combine([(memo[c], w) for c, w in moves])
-    return memo[0]
+            for bit, w in mates:
+                if not state & bit:
+                    s = (state | bit) >> 1
+                    u = shift(v, w) if w else v
+                    old = get(s)
+                    nxt[s] = u if old is None else old + u
+        layer = nxt
+    return layer.get(0, zero)
 
 
-def _sum_counts(kids: list[tuple[int, int]]) -> int:
-    return sum(v for v, _ in kids)
-
-
-def _sum_weighted(kids: list[tuple[QPoly, int]]) -> QPoly:
-    if not kids:
-        return QPoly.zero()
-    polys = [v.shifted(w) if w else v for v, w in kids]
-    return sum(polys[1:], polys[0])
+def _unshifted(v: int, w: int) -> int:
+    """A count ignores the weights."""
+    return v
 
 
 def count_brute(region: TriangularRegion, limit: int | None = None) -> int:
     """Number of perfect matchings of the dual graph; empty region -> 1."""
     _check_size(region, limit)
-    return _matching_sum(region, 1, _sum_counts)
+    return _matching_sum(region, 1, 0, _unshifted)
 
 
 def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     """Sum of q-weights over all tilings, as a Laurent polynomial."""
     _check_size(region, limit)
-    return _matching_sum(region, QPoly.one(), _sum_weighted)
+    return _matching_sum(region, QPoly.one(), QPoly.zero(),
+                         QPoly.shifted)
 
 
 def _classify(up: Triangle, down: Triangle) -> Lozenge:
@@ -211,14 +209,9 @@ def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
         return []
     tris, partners = _dual_graph(region)
     full = (1 << m) - 1
-    out: list[Tiling] = []
 
-    def rec(covered: int, chosen: list[Lozenge]) -> bool:
-        if limit is not None and len(out) >= limit:
-            return False
-        if covered == full:
-            out.append(Tiling(chosen))
-            return limit is None or len(out) < limit
+    def moves(covered: int):
+        """(bits, lozenge) for each way to match the lowest free triangle."""
         rest = full & ~covered
         i = (rest & -rest).bit_length() - 1
         for j, _ in partners[i]:
@@ -226,14 +219,29 @@ def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
                 a, b = tris[i], tris[j]
                 if not a.up:
                     a, b = b, a
-                chosen.append(_classify(a, b))
-                alive = rec(covered | (1 << i) | (1 << j), chosen)
-                chosen.pop()
-                if not alive:
-                    return False
-        return True
+                yield 1 << i | 1 << j, _classify(a, b)
 
-    rec(0, [])
+    out: list[Tiling] = []
+    chosen: list[Lozenge] = []
+    taken: list[int] = []  # the bits of each chosen lozenge
+    covered = 0
+    stack = [moves(0)]  # an explicit stack: tilings can be m/2 deep
+    while stack and (limit is None or len(out) < limit):
+        move = next(stack[-1], None)
+        if move is None:
+            stack.pop()
+            if taken:
+                covered ^= taken.pop()
+                chosen.pop()
+            continue
+        bits, loz = move
+        if covered | bits == full:
+            out.append(Tiling(chosen + [loz]))
+            continue
+        covered |= bits
+        taken.append(bits)
+        chosen.append(loz)
+        stack.append(moves(covered))
     return out
 
 

@@ -134,6 +134,16 @@ def test_verify_small(capsys):
         assert json.loads(line)["pass"] is True
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--count", "0"),
+                                         ("--max-L", "0")])
+def test_verify_rejects_nonpositive_sizes(flag, value, capsys):
+    # not an empty suite, and not the suite default in disguise
+    assert main(["verify", "--suite", "thm1", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}" in captured.err
+
+
 def test_verify_jobs_deterministic(capsys):
     assert main(["verify", "--suite", "thm3", "--count", "3", "--jobs", "1"]) == 0
     out1 = capsys.readouterr().out
@@ -163,7 +173,9 @@ def test_render_cli(demo_file, tmp_path, capsys):
     hexf = _spec_file(tmp_path, "hex.json", {"x": 1, "y": 1, "U": [], "D": [], "B": []})
     assert main(["render", "--spec", hexf, "--tiling", "0"]) == 0
     assert "loz" in capsys.readouterr().out
-    assert main(["render", "--spec", hexf, "--tiling", "5"]) == 1
+    for index in ("5", "-1"):  # past the last tiling, and negative
+        assert main(["render", "--spec", hexf, "--tiling", index]) == 1
+        assert "error" in capsys.readouterr().err
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from dentedhex.exactnum import ExactnessError, QPoly
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
 from dentedhex.harness import engine_corpus, random_region_spec
 from dentedhex.theorems import crossing_subsets
-from dentedhex.lattice import (SemihexSpec, build_region,
+from dentedhex.lattice import (SemihexSpec, TriangularRegion, build_region,
                                build_semihex_region, flip_spec,
                                lozenge_triangles, make_spec, mirror_spec,
                                reflect_positions)
@@ -161,6 +161,34 @@ def test_tiling_qweights_sum_to_generating_function():
         assert total == qcount_brute(region)
 
 
+def _without(region, *tris):
+    return TriangularRegion(region.triangles - set(tris),
+                            region.forbidden_vertical, region.L)
+
+
+def test_count_brute_matches_tiling_walk():
+    # the oracle's frontier DP against the per-tiling walk: barriers, dents
+    # on both sides of one position, adjacent dents, the empty region, and
+    # regions with one triangle (odd size) or two up triangles removed
+    rng = random.Random(46)
+    specs = [make_spec(0, 0)] + [random_region_spec(rng, max_L=6, max_b=2)
+                                 for _ in range(40)]
+    assert any(s.B for s in specs)
+    assert any(set(s.U) & set(s.D) for s in specs)
+    assert any(p + 1 in s.U + s.D for s in specs for p in s.U + s.D)
+    regions = [build_region(s) for s in specs]
+    for region in [r for r in regions if r.triangles][:10]:
+        tris = sorted(region.triangles)
+        ups = [t for t in tris if t.up]
+        regions.append(_without(region, rng.choice(tris)))
+        regions.append(_without(region, *rng.sample(ups, min(2, len(ups)))))
+    assert any(len(r.triangles) % 2 for r in regions)
+    assert not regions[0].triangles
+    for region in regions:
+        assert count_brute(region) == len(enumerate_tilings(region))
+    assert count_brute(regions[0]) == 1
+
+
 def test_region_too_large():
     region = build_region(make_spec(3, 3))
     with pytest.raises(RegionTooLarge):
@@ -175,6 +203,15 @@ def test_oracle_survives_deep_regions():
     # 2,408 triangles: a recursive walk would nest 1,204 calls deep
     region = build_region(make_spec(300, 2))
     assert count_brute(region, limit=2408) == pp(300, 2, 2)
+    tilings = enumerate_tilings(region, limit=2, max_triangles=2408)
+    assert len(tilings) == 2
+    assert all(len(t) == 1204 for t in tilings)
+
+
+def test_oracle_reaches_tall_hexagons():
+    # 294 triangles with a frontier as tall as the hexagon
+    region = build_region(make_spec(7, 7))
+    assert count_brute(region, limit=294) == pp(7, 7, 7)
 
 
 def test_oracle_matches_axis_beyond_default_budget():
