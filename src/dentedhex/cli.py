@@ -209,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("thm1", "thm2", "thm3", "kuo", "schur",
                             "barrier", "asym", "all"))
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-L", type=_int_at_least(1), default=None,
+    p.add_argument("--max-L", type=_int_at_least(2), default=None,
                    dest="max_L")
     p.add_argument("--count", type=_int_at_least(1), default=None,
                    help="override the per-suite instance count")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("asym", help="finite-scale ratio table (CSV)")
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters-alt", required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=_int_at_least(1), default=6)
     p.add_argument("--float", action="store_true",
                    help="append float convenience columns")
     p.add_argument("--out", default=None)
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="regenerate the cross-engine corpus")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--size", type=int, default=300)
+    p.add_argument("--size", type=_int_at_least(0), default=300)
     p.add_argument("--max-L", type=int, default=8, dest="max_L")
     p.set_defaults(func=_cmd_corpus)
 

@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .exactnum import (ExactnessError, QPoly, QRatio, digit_width,
                        one_minus_q_quotient)
-from .lattice import (ClusterSpec, SemihexSpec, SpecError, ValidatedSpec,
-                      UP, DOWN, make_spec)
+from .lattice import (ClusterSpec, SpecError, ValidatedSpec, UP, DOWN,
+                      make_spec)
 
 
 class IncompatibleClusters(SpecError):
@@ -69,11 +69,6 @@ def schur_ones(S: Sequence[int]) -> int:
     return out
 
 
-def clp(s: SemihexSpec) -> int:
-    """Tiling count of the dented semihexagon (independent of s.b)."""
-    return schur_ones(s.dents)
-
-
 def clp_q_dents(S: Sequence[int]) -> QPoly:
     """Generating polynomial of the dented semihexagon with dents S.
 
@@ -108,10 +103,6 @@ def clp_q_dents(S: Sequence[int]) -> QPoly:
         raise ExactnessError(f"clp_q_dents({tuple(S)}) has a negative "
                              "exponent")
     return out
-
-
-def clp_q(s: SemihexSpec) -> QPoly:
-    return clp_q_dents(s.dents)
 
 
 def delta(S: Sequence[int]) -> int:
@@ -319,10 +310,7 @@ def cluster_s_values(cluster: Sequence[str]) -> ClusterStats:
     downs = tuple(i + 1 for i, tok in enumerate(cluster) if tok == DOWN)
     if len(ups) + len(downs) != len(cluster):
         raise SpecError("cluster tokens must be up or down")
-    f = len(cluster)
-    s_plus = clp(SemihexSpec(len(ups), f - len(ups), ups))
-    s_minus = clp(SemihexSpec(len(downs), f - len(downs), downs))
-    return ClusterStats(s_plus, s_minus)
+    return ClusterStats(schur_ones(ups), schur_ones(downs))
 
 
 def asym_rhs(c: ClusterSpec, c2: ClusterSpec) -> Fraction:

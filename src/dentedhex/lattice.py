@@ -18,6 +18,9 @@ pure position lookups.
 
 n is always derived from U and D, never supplied. Degenerate regions
 (empty triangle sets) are valid and have exactly one, empty, tiling.
+The dented semihexagon with the a dents S on a base of length a+b is
+the flat region make_spec(b, 0, S): rows 0..a-1 and no rows below the
+axis.
 """
 
 from __future__ import annotations
@@ -94,22 +97,12 @@ Tiling = frozenset  # of Lozenge
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """Raw input: hexagon parameters and axis obstacle positions."""
-
-    x: int
-    y: int
-    U: tuple[int, ...] = ()
-    D: tuple[int, ...] = ()
-    B: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class ValidatedSpec:
-    """A RegionSpec plus the derived quantities every engine needs.
+    """A checked region description; build it with make_spec.
 
-    free lists the axis positions that may host a crossing vertical
-    lozenge: [1..L] minus dents and barriers.
+    L = x + y + |U union D| is the base length, and free lists the axis
+    positions that may host a crossing vertical lozenge: [1..L] minus
+    dents and barriers.
     """
 
     x: int
@@ -117,11 +110,7 @@ class ValidatedSpec:
     U: tuple[int, ...]
     D: tuple[int, ...]
     B: tuple[int, ...]
-    n: int
-    u: int
-    d: int
     L: int
-    u_cap_d: tuple[int, ...]
     free: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
@@ -147,45 +136,27 @@ def _checked_positions(name: str, values: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def validate_spec(raw: RegionSpec) -> ValidatedSpec:
-    """Check a raw spec and compute n, u, d, L and the free positions."""
-    x, y = int(raw.x), int(raw.y)
+def make_spec(x: int, y: int, U: Sequence[int] = (), D: Sequence[int] = (),
+              B: Sequence[int] = ()) -> ValidatedSpec:
+    """Check a region description and compute L and the free positions."""
+    x, y = int(x), int(y)
     if x < 0 or y < 0:
         raise SpecError("x and y must be nonnegative")
-    U = _checked_positions("U", raw.U)
-    D = _checked_positions("D", raw.D)
-    B = _checked_positions("B", raw.B)
+    U = _checked_positions("U", U)
+    D = _checked_positions("D", D)
+    B = _checked_positions("B", B)
     dents = set(U) | set(D)
     if set(B) & dents:
         raise BarrierOverlap(f"barriers {sorted(set(B) & dents)} collide with dents")
     if len(B) > x:
         raise TooManyBarriers(f"{len(B)} barriers but x={x}")
-    n = len(dents)
-    L = x + y + n
+    L = x + y + len(dents)
     blocked = dents | set(B)
     for v in blocked:
         if v > L:
             raise PositionOutOfRange(f"position {v} exceeds the base length {L}")
     free = tuple(k for k in range(1, L + 1) if k not in blocked)
-    return ValidatedSpec(
-        x=x,
-        y=y,
-        U=U,
-        D=D,
-        B=B,
-        n=n,
-        u=len(U),
-        d=len(D),
-        L=L,
-        u_cap_d=tuple(sorted(set(U) & set(D))),
-        free=free,
-    )
-
-
-def make_spec(x: int, y: int, U: Sequence[int] = (), D: Sequence[int] = (),
-              B: Sequence[int] = ()) -> ValidatedSpec:
-    """Shorthand for validate_spec(RegionSpec(...))."""
-    return validate_spec(RegionSpec(x, y, tuple(U), tuple(D), tuple(B)))
+    return ValidatedSpec(x, y, U, D, B, L, free)
 
 
 # --- JSON wire format ------------------------------------------------------
@@ -233,12 +204,12 @@ def build_region(spec: ValidatedSpec) -> TriangularRegion:
     """Materialize the triangle set of a validated spec."""
     L = spec.L
     tris: set[Triangle] = set()
-    for b in range(spec.y + spec.u):
+    for b in range(spec.y + len(spec.U)):
         for a in range(L - b):
             tris.add(Triangle(a, b, True))
         for a in range(L - 1 - b):
             tris.add(Triangle(a, b, False))
-    for b in range(-(spec.y + spec.d), 0):
+    for b in range(-(spec.y + len(spec.D)), 0):
         for a in range(-b - 1, L):
             tris.add(Triangle(a, b, False))
         for a in range(-b, L):
@@ -251,40 +222,6 @@ def build_region(spec: ValidatedSpec) -> TriangularRegion:
     if region.up_count() != region.down_count():
         raise ExactnessError("region must be balanced")
     return region
-
-
-@dataclass(frozen=True)
-class SemihexSpec:
-    """Dented semihexagon: a dents on a base of length a+b, rows 0..a-1."""
-
-    a: int
-    b: int
-    dents: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise SpecError("semihexagon sides must be nonnegative")
-        dents = _checked_positions("dents", self.dents)
-        object.__setattr__(self, "dents", dents)
-        if len(dents) != self.a:
-            raise SpecError(f"expected {self.a} dents, got {len(dents)}")
-        if dents and dents[-1] > self.a + self.b:
-            raise PositionOutOfRange(
-                f"dent {dents[-1]} exceeds base length {self.a + self.b}")
-
-
-def build_semihex_region(s: SemihexSpec) -> TriangularRegion:
-    """The dented semihexagon as an explicit triangle set (rows 0..a-1)."""
-    L = s.a + s.b
-    tris: set[Triangle] = set()
-    for b in range(s.a):
-        for a in range(L - b):
-            tris.add(Triangle(a, b, True))
-        for a in range(L - 1 - b):
-            tris.add(Triangle(a, b, False))
-    for pos in s.dents:
-        tris.remove(Triangle(pos - 1, 0, True))
-    return TriangularRegion(frozenset(tris), frozenset(), L)
 
 
 def reflect_positions(S: Sequence[int], L: int) -> tuple[int, ...]:
@@ -365,44 +302,3 @@ def clusters_to_spec(c: ClusterSpec, x: int, y: int) -> ValidatedSpec:
         if i < len(c.gaps):
             pos += c.gaps[i]
     return make_spec(x, y, tuple(U), tuple(D), ())
-
-
-def spec_to_clusters(spec: ValidatedSpec) -> ClusterSpec:
-    """Recover the cluster form of a barrier-free spec with disjoint dents."""
-    if spec.B:
-        raise GeometryMismatch("cluster form has no barriers")
-    if spec.u_cap_d:
-        raise GeometryMismatch("cluster form needs disjoint up and down dents")
-    tokens = {}
-    for s in spec.U:
-        tokens[s] = UP
-    for t in spec.D:
-        tokens[t] = DOWN
-    runs: list[tuple[int, tuple[str, ...]]] = []  # (start, tokens)
-    k = 1
-    while k <= spec.L:
-        if k in tokens:
-            start = k
-            run = []
-            while k <= spec.L and k in tokens:
-                run.append(tokens[k])
-                k += 1
-            runs.append((start, tuple(run)))
-        else:
-            k += 1
-    clusters: list[tuple[str, ...]] = []
-    starts: list[int] = []
-    if not runs or runs[0][0] != 1:
-        clusters.append(())
-        starts.append(1)
-    for start, run in runs:
-        clusters.append(run)
-        starts.append(start)
-    last_end = starts[-1] + len(clusters[-1])
-    if last_end != spec.L + 1:
-        clusters.append(())
-        starts.append(spec.L + 1)
-    gaps = []
-    for i in range(len(clusters) - 1):
-        gaps.append(starts[i + 1] - (starts[i] + len(clusters[i])))
-    return ClusterSpec(tuple(clusters), tuple(gaps))

@@ -9,12 +9,11 @@ from itertools import combinations
 
 from dentedhex.cli import main
 from dentedhex.engines import count_axis, count_brute, qcount_axis, qcount_brute
-from dentedhex.formulas import (ShuffleInstance, asym_rhs, clp,
-                                gen_shuffle_rhs, q_shuffle_rhs, shuffle_rhs)
+from dentedhex.formulas import (ShuffleInstance, asym_rhs, gen_shuffle_rhs,
+                                q_shuffle_rhs, schur_ones, shuffle_rhs)
 from dentedhex.harness import (engine_corpus, random_shuffle_instance,
                                run_suite, summarize)
-from dentedhex.lattice import (ClusterSpec, SemihexSpec, build_region,
-                               build_semihex_region, make_spec)
+from dentedhex.lattice import ClusterSpec, build_region, make_spec
 from dentedhex.theorems import (asym_table, check_barrier_independence,
                                 check_thm1, check_thm2, check_thm3)
 
@@ -61,8 +60,8 @@ def test_criterion_03_semihexagon_anchor():
         for a in range(0, 4):
             for base in range(a, 9):
                 for dents in combinations(range(1, base + 1), a):
-                    s = SemihexSpec(a, base - a, dents)
-                    assert clp(s) == count_brute(build_semihex_region(s))
+                    region = build_region(make_spec(base - a, 0, dents))
+                    assert schur_ones(dents) == count_brute(region)
 
     _criterion(3, "semihexagon product equals brute force for a<=3, a+b<=8",
                run)

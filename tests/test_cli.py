@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dentedhex
 from dentedhex.cli import main
 from dentedhex.engines import count_axis, qcount_axis
 from dentedhex.formulas import pp
@@ -135,9 +136,11 @@ def test_verify_small(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--count", "0"),
-                                         ("--max-L", "0")])
+                                         ("--max-L", "0"), ("--max-L", "1"),
+                                         ("--jobs", "0"), ("--jobs", "-3")])
 def test_verify_rejects_nonpositive_sizes(flag, value, capsys):
-    # not an empty suite, and not the suite default in disguise
+    # not an empty suite, not the suite default in disguise, not a serial
+    # run; the shuffle suites draw L from [2, max_L]
     assert main(["verify", "--suite", "thm1", flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -201,6 +204,28 @@ def test_spec_json_type_strictness(tmp_path, capsys):
     bad2 = _spec_file(tmp_path, "bad2.json", {"x": 1, "y": 1, "U": ["1"]})
     assert main(["count", "--spec", bad2]) == 1
     capsys.readouterr()
+
+
+_ASYM = ["asym", "--clusters", "c.json", "--clusters-alt", "c.json",
+         "--x", "1", "--y", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["corpus", "--size", "-1"], "--size"),
+    (_ASYM + ["--nmax", "0"], "--nmax"),
+    (_ASYM + ["--nmax", "-2"], "--nmax"),
+])
+def test_sizes_below_range_are_usage_errors(argv, flag, capsys):
+    # argparse rejects the value before any cluster file is opened
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}" in captured.err
+
+
+def test_public_api_names_resolve():
+    for name in dentedhex.__all__:
+        assert hasattr(dentedhex, name), name
 
 
 def test_corpus_deterministic(capsys):

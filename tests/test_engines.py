@@ -10,8 +10,7 @@ from dentedhex.exactnum import ExactnessError, QPoly
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
 from dentedhex.harness import engine_corpus, random_region_spec
 from dentedhex.theorems import crossing_subsets
-from dentedhex.lattice import (SemihexSpec, TriangularRegion, build_region,
-                               build_semihex_region, flip_spec,
+from dentedhex.lattice import (TriangularRegion, build_region, flip_spec,
                                lozenge_triangles, make_spec, mirror_spec,
                                reflect_positions)
 
@@ -44,7 +43,7 @@ def test_qcount_brute_calibration():
     # one-row semihexagon with dent s weighs q^(s-1)
     for b in range(0, 4):
         for s in range(1, b + 2):
-            region = build_semihex_region(SemihexSpec(1, b, (s,)))
+            region = build_region(make_spec(b, 0, (s,)))
             assert qcount_brute(region) == QPoly.monomial(s - 1)
             assert qcount_brute(region) == clp_q_dents((s,))
 

@@ -3,22 +3,23 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from dentedhex.engines import count_brute, qcount_axis
+from dentedhex.engines import count_brute, qcount_axis, qcount_brute
 from dentedhex.exactnum import (ExactnessError, QPoly, QRatio, digit_width,
                                 one_minus_q_quotient)
 from dentedhex.formulas import (ClusterStats, IncompatibleClusters,
-                                ShuffleInstance, asym_rhs, clp, clp_q_dents,
+                                ShuffleInstance, asym_rhs, clp_q_dents,
                                 cluster_s_values, delta, delta_q,
                                 gen_shuffle_rhs, lambda_of, pp, pp_q,
                                 q_shift_exponent, q_shuffle_rhs, schur_ones,
                                 shuffle_rhs)
 from dentedhex.harness import random_shuffle_instance
-from dentedhex.lattice import (ClusterSpec, SemihexSpec, SpecError,
-                               build_semihex_region)
+from dentedhex.lattice import (ClusterSpec, SpecError, build_region,
+                               make_spec)
 
 q = QPoly.q()
 
@@ -42,19 +43,18 @@ def test_pp_q():
 
 
 def test_clp_values():
-    assert clp(SemihexSpec(3, 2, (1, 2, 3))) == 1
-    assert clp(SemihexSpec(1, 4, (3,))) == 1
-    assert clp(SemihexSpec(0, 5, ())) == 1
-    assert clp(SemihexSpec(2, 2, (1, 4))) == 3
+    assert schur_ones((1, 2, 3)) == 1
+    assert schur_ones((3,)) == 1
+    assert schur_ones(()) == 1
+    assert schur_ones((1, 4)) == 3
 
 
 def test_clp_against_brute_force():
     # small sweep; the full sweep is an acceptance criterion
     for a, base in ((2, 4), (3, 5)):
-        from itertools import combinations
         for dents in combinations(range(1, base + 1), a):
-            s = SemihexSpec(a, base - a, dents)
-            assert clp(s) == count_brute(build_semihex_region(s))
+            region = build_region(make_spec(base - a, 0, dents))
+            assert schur_ones(dents) == count_brute(region)
 
 
 def test_clp_q():
@@ -76,6 +76,18 @@ def test_clp_q():
         clp_q_dents((0,))
     with pytest.raises(ValueError):
         clp_q_dents((2, 2))
+
+
+def test_clp_q_dents_against_brute_force():
+    # every semihexagon with a <= 3 dents on a base of at most 7
+    cases = 0
+    for a in range(0, 4):
+        for base in range(a, 8):
+            for dents in combinations(range(1, base + 1), a):
+                region = build_region(make_spec(base - a, 0, dents))
+                assert qcount_brute(region) == clp_q_dents(dents)
+                cases += 1
+    assert cases == 162
 
 
 def test_clp_q_dents_matches_one_minus_q_quotient():
@@ -119,7 +131,11 @@ def test_schur_ones():
         base = rng.randint(1, 9)
         a = rng.randint(0, min(5, base))
         dents = tuple(sorted(rng.sample(range(1, base + 1), a)))
-        assert schur_ones(dents) == clp(SemihexSpec(a, base - a, dents))
+        want = Fraction(1)
+        for i in range(a):
+            for j in range(i + 1, a):
+                want *= Fraction(dents[j] - dents[i], j - i)
+        assert schur_ones(dents) == want
 
 
 def test_shuffle_rhs():

@@ -5,38 +5,35 @@ import pytest
 from dentedhex.harness import random_region_spec
 from dentedhex.lattice import (BarrierOverlap, ClusterSpec, DuplicateEntry,
                                GeometryMismatch, NotSorted,
-                               PositionOutOfRange, RegionSpec, SemihexSpec,
-                               TooManyBarriers, Triangle, build_region,
-                               build_semihex_region, clusters_to_spec,
-                               flip_spec, make_spec, spec_from_json_dict,
-                               spec_to_clusters, reflect_positions,
-                               validate_spec)
+                               PositionOutOfRange, TooManyBarriers, Triangle,
+                               UP, build_region, clusters_to_spec, flip_spec,
+                               make_spec, spec_from_json_dict,
+                               reflect_positions)
 
 
 def test_validate_demo_instance():
     s = make_spec(4, 3, (2, 4, 5, 8, 11), (4, 9, 11, 12), (6, 13))
-    assert (s.n, s.u, s.d, s.L) == (7, 5, 4, 14)
+    assert s.L == 14
     assert s.free == (1, 3, 7, 10, 14)
-    assert s.u_cap_d == (4, 11)
 
 
 def test_validate_trivial():
     s = make_spec(1, 1)
-    assert (s.n, s.u, s.d, s.L) == (0, 0, 0, 2)
+    assert s.L == 2
     assert s.free == (1, 2)
 
 
 @pytest.mark.parametrize("raw,err", [
-    (RegionSpec(0, 0, (), (), (1,)), TooManyBarriers),
-    (RegionSpec(2, 1, (1, 1), ()), DuplicateEntry),
-    (RegionSpec(2, 1, (3, 1), ()), NotSorted),
-    (RegionSpec(2, 1, (9,), ()), PositionOutOfRange),
-    (RegionSpec(2, 1, (1,), (), (1,)), BarrierOverlap),
-    (RegionSpec(2, 1, (0,), ()), PositionOutOfRange),
+    ((0, 0, (), (), (1,)), TooManyBarriers),
+    ((2, 1, (1, 1), ()), DuplicateEntry),
+    ((2, 1, (3, 1), ()), NotSorted),
+    ((2, 1, (9,), ()), PositionOutOfRange),
+    ((2, 1, (1,), (), (1,)), BarrierOverlap),
+    ((2, 1, (0,), ()), PositionOutOfRange),
 ])
 def test_validate_errors(raw, err):
     with pytest.raises(err):
-        validate_spec(raw)
+        make_spec(*raw)
 
 
 def test_unit_hexagon_triangles():
@@ -73,11 +70,12 @@ def test_build_region_balanced_and_rows():
             d = by_row_up if t.up else by_row_down
             d[t.b] = d.get(t.b, 0) + 1
         L = spec.L
-        for b in range(spec.y + spec.u):
-            assert by_row_up.get(b, 0) == L - b - (spec.u if b == 0 else 0)
+        u, d = len(spec.U), len(spec.D)
+        for b in range(spec.y + u):
+            assert by_row_up.get(b, 0) == L - b - (u if b == 0 else 0)
             assert by_row_down.get(b, 0) == L - 1 - b
-        for b in range(-(spec.y + spec.d), 0):
-            assert by_row_down.get(b, 0) == L + b + 1 - (spec.d if b == -1 else 0)
+        for b in range(-(spec.y + d), 0):
+            assert by_row_down.get(b, 0) == L + b + 1 - (d if b == -1 else 0)
             assert by_row_up.get(b, 0) == L + b
 
 
@@ -128,7 +126,15 @@ def test_cluster_roundtrip():
         x = rng.randint(0, sum(gaps))
         y = sum(gaps) - x
         spec = clusters_to_spec(c, x, y)
-        assert spec_to_clusters(spec) == c
+        assert spec.L == sum(c.lengths) + sum(c.gaps)
+        assert spec.B == ()
+        # cluster i starts after the earlier clusters and gaps
+        U, D = [], []
+        for i, cluster in enumerate(c.clusters):
+            start = 1 + sum(c.lengths[:i]) + sum(c.gaps[:i])
+            for k, tok in enumerate(cluster):
+                (U if tok == UP else D).append(start + k)
+        assert (spec.U, spec.D) == (tuple(U), tuple(D))
 
 
 def test_cluster_validation():
@@ -141,13 +147,12 @@ def test_cluster_validation():
 
 
 def test_semihex_spec():
-    s = SemihexSpec(2, 2, (1, 4))
-    region = build_semihex_region(s)
+    # the semihexagon with dents S on a base of a+b is make_spec(b, 0, S)
+    region = build_region(make_spec(2, 0, (1, 4)))
     assert region.up_count() == region.down_count()
-    with pytest.raises(Exception):
-        SemihexSpec(2, 2, (1,))
+    assert {t.b for t in region.triangles} == {0, 1}
     with pytest.raises(PositionOutOfRange):
-        SemihexSpec(1, 1, (3,))
+        make_spec(1, 0, (3,))
 
 
 def test_json_wire_format():
