@@ -184,14 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact tiling count of a region")
     add_region(p)
     p.add_argument("--engine", choices=("axis", "brute"), default="axis")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_int_at_least(0), default=None,
                    help="brute-force triangle budget")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("qcount", help="tiling generating function in q")
     add_region(p)
     p.add_argument("--engine", choices=("axis", "brute"), default="axis")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_int_at_least(0), default=None)
     p.add_argument("--at-one", action="store_true",
                    help="evaluate at q=1 (equals count)")
     p.set_defaults(func=_cmd_qcount)
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="regenerate the cross-engine corpus")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--size", type=_int_at_least(0), default=300)
-    p.add_argument("--max-L", type=int, default=8, dest="max_L")
+    p.add_argument("--max-L", type=_int_at_least(1), default=8, dest="max_L")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -13,15 +13,10 @@ bits per coefficient. Packed values multiply as the polynomials do, and
 QPoly.from_packed reads the product back as balanced digits in
 (-2^(k-1), 2^(k-1)), which is exact as long as every coefficient lies in
 that range. digit_width(bound) picks the least whole-byte k with
-bound < 2^(k-1). Three bounds are used:
+bound < 2^(k-1). Two bounds are used:
 
 - QPoly.__mul__: a product coefficient sums at most min(len a, len b)
   terms, each at most max|a| * max|b| in magnitude.
-- formulas.clp_q_dents: the dented-semihexagon generating polynomial has
-  nonnegative coefficients (it counts tilings by weight) whose sum is its
-  value at q=1, schur_ones(S); so each coefficient is at most schur_ones(S).
-  Its quotient of (Q^m - 1) products is one exact int division at
-  Q = 2^k, checked by its remainder and by the digit sum.
 - engines.qcount_axis: the same argument with count_axis(spec) as the
   bound on the result's coefficients; its weights, products of m
   binomials q^i - q^j, enter the determinant as QPoly.packed values, and
@@ -317,8 +312,9 @@ def one_minus_q_quotient(num_exps: Iterable[int], den_exps: Iterable[int]) -> QP
     Common exponents cancel as a multiset first; the remaining product is
     built densely and each denominator factor is removed by the linear
     recurrence r[k] = p[k] + r[k-b], which is exact iff the top b
-    coefficients vanish. This is the hot path behind the closed-form
-    q-counts, so it avoids general polynomial division.
+    coefficients vanish. Both closed-form q-counts, formulas.pp_q and
+    formulas.clp_q_dents, are one call each, so it avoids general
+    polynomial division.
     """
     cn = Counter(int(a) for a in num_exps)
     cd = Counter(int(b) for b in den_exps)
@@ -364,9 +360,6 @@ class QRatio:
     @classmethod
     def from_int(cls, n: int) -> "QRatio":
         return cls(QPoly.monomial(0, n), QPoly.one())
-
-    def __mul__(self, other: "QRatio") -> "QRatio":
-        return QRatio(self.num * other.num, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -13,8 +13,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .exactnum import (ExactnessError, QPoly, QRatio, digit_width,
-                       one_minus_q_quotient)
+from .exactnum import ExactnessError, QPoly, QRatio, one_minus_q_quotient
 from .lattice import (ClusterSpec, SpecError, ValidatedSpec, UP, DOWN,
                       make_spec)
 
@@ -47,6 +46,7 @@ def pp_q(a: int, b: int, c: int) -> QPoly:
 
     The k-product telescopes, leaving one factor pair per (i,j).
     """
+    c = max(c, 0)  # as in pp: a box with no k-layers is an empty product
     num = [i + j + c - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
     den = [i + j - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
     return one_minus_q_quotient(num, den)
@@ -73,30 +73,21 @@ def clp_q_dents(S: Sequence[int]) -> QPoly:
     """Generating polynomial of the dented semihexagon with dents S.
 
     q^(sum(s_i - i)) * prod (q^(s_j)-q^(s_i))/(q^j-q^i), in the gap form
-    q^shift * prod (Q^(s_j-s_i) - 1) / prod (Q^(j-i) - 1). Both products
-    are evaluated at Q = 2^k and divided as ints; the quotient is unpacked
-    into coefficients (see the exactnum docstring for why k from
-    schur_ones(S) suffices). A remainder, a digit sum other than
-    schur_ones(S), or a negative exponent raises ExactnessError.
+    q^shift * prod (1 - q^(s_j-s_i)) / prod (1 - q^(j-i)): one
+    one_minus_q_quotient call (both products have a(a-1)/2 factors, so the
+    signs cancel). A coefficient sum other than schur_ones(S) or a
+    negative exponent raises ExactnessError.
     """
     a = len(S)
     if any(S[i] >= S[i + 1] for i in range(a - 1)):
         raise ValueError(f"clp_q_dents({tuple(S)}): dents must be strictly "
                          "increasing")
+    pairs = [(i, j) for j in range(a) for i in range(j)]
+    out = one_minus_q_quotient([S[j] - S[i] for i, j in pairs],
+                               [j - i for i, j in pairs])
+    out = out.shifted(sum((a - i) * (S[i] - i - 1) for i in range(a)))
     ones = schur_ones(S)
-    width = digit_width(ones)
-    k = 8 * width
-    num = den = 1
-    for j in range(1, a):
-        for i in range(j):
-            num *= (1 << k * (S[j] - S[i])) - 1
-        den *= ((1 << k * j) - 1) ** (a - j)
-    quo, rem = divmod(num, den)
-    shift = 0
-    for i in range(1, a + 1):
-        shift += (a - i + 1) * (S[i - 1] - i)
-    out = QPoly.from_packed(quo, width, shift)
-    if rem or out.eval_one() != ones:
+    if out.eval_one() != ones:
         raise ExactnessError(f"clp_q_dents({tuple(S)}) is not a polynomial "
                              f"with coefficients summing to {ones}")
     if out and out.min_exp() < 0:

@@ -6,10 +6,11 @@ Task lists and report bytes are independent of the worker count: tasks are
 built up front in a fixed order and results are collected in submission
 order, so --jobs only changes the wall clock.
 
-Each negative control is one row of _CONTROLS: a theorems check, run on a
-witness instance once with its validated prediction and once with a wrong
-one passed as rhs. The control report passes when the first passes and
-the second fails.
+Each check task is one row of _CHECKS: a theorems check and a function
+that reads its arguments from the task's payload. Each negative control is
+one row of _CONTROLS: a theorems check, run on a witness instance once
+with its validated prediction and once with a wrong one passed as rhs.
+The control report passes when the first passes and the second fails.
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ def engine_corpus(seed: int = 7, size: int = 300, max_L: int = 8,
 
     Deterministic in the seed. Starts from fixed anchors (degenerate
     regions and pure hexagons) and fills up with random dented specs,
-    deduplicated, all within the stated bounds.
+    deduplicated, all within the stated bounds. Raises ValueError when
+    10 * size random draws leave it short, as when the bounds admit fewer
+    than size distinct specs.
     """
     rng = random.Random(seed)
     specs: list[ValidatedSpec] = []
@@ -137,9 +140,16 @@ def engine_corpus(seed: int = 7, size: int = 300, max_L: int = 8,
         for y in range(1, max_y + 1):
             if x + y <= max_L:
                 push(make_spec(x, y))
+    max_draws = 10 * size  # the seed-7 size-300 corpus takes 418
+    draws = 0
     while len(specs) < size:
+        if draws == max_draws:
+            raise ValueError(f"corpus: {len(specs)} distinct specs after "
+                             f"{draws} draws, {size - len(specs)} short of "
+                             f"size {size}; raise max_L or lower size")
         push(random_region_spec(rng, max_L=max_L, max_y=max_y,
                                 max_u=max_u, max_d=max_d, max_b=max_b))
+        draws += 1
     return specs[:size]
 
 
@@ -163,35 +173,6 @@ def _clusters_from_payload(p: Sequence) -> ClusterSpec:
     return ClusterSpec(tuple(tuple(c) for c in p[0]), tuple(p[1]))
 
 
-def _run_thm1(p: dict) -> CheckReport:
-    return theorems.check_thm1(_inst_from_payload(p))
-
-
-def _run_pair_product(p: dict) -> CheckReport:
-    return theorems.check_pair_product(_inst_from_payload(p))
-
-
-def _run_thm2(p: dict) -> CheckReport:
-    return theorems.check_thm2(_inst_from_payload(p))
-
-
-def _run_thm3(p: dict) -> CheckReport:
-    return theorems.check_thm3(_inst_from_payload(p))
-
-
-def _run_kuo(p: dict) -> CheckReport:
-    return theorems.check_kuo(_spec_from_payload(p))
-
-
-def _run_schur(p: dict) -> CheckReport:
-    return theorems.check_schur_sum(_spec_from_payload(p))
-
-
-def _run_barrier(p: dict) -> CheckReport:
-    inst = _inst_from_payload(p)
-    return theorems.check_barrier_independence(inst, p["barrier_sets"])
-
-
 def _run_asym(p: dict) -> CheckReport:
     t0 = time.perf_counter()
     c = _clusters_from_payload(p["clusters"])
@@ -213,15 +194,28 @@ def _run_asym(p: dict) -> CheckReport:
     return report
 
 
-_RUNNERS: dict[str, Callable[[dict], CheckReport]] = {
-    "thm1": _run_thm1,
-    "pair_product": _run_pair_product,
-    "thm2": _run_thm2,
-    "thm3": _run_thm3,
-    "kuo": _run_kuo,
-    "schur": _run_schur,
-    "barrier": _run_barrier,
-    "asym": _run_asym,
+def _inst_arg(p: dict) -> tuple:
+    return (_inst_from_payload(p),)
+
+
+def _spec_arg(p: dict) -> tuple:
+    return (_spec_from_payload(p),)
+
+
+def _barrier_args(p: dict) -> tuple:
+    return (_inst_from_payload(p), p["barrier_sets"])
+
+
+# task kind -> (theorems check, by name so it resolves through the module
+# when run; its arguments, read from the payload)
+_CHECKS: dict[str, tuple[str, Callable[[dict], tuple]]] = {
+    "thm1": ("check_thm1", _inst_arg),
+    "pair_product": ("check_pair_product", _inst_arg),
+    "thm2": ("check_thm2", _inst_arg),
+    "thm3": ("check_thm3", _inst_arg),
+    "kuo": ("check_kuo", _spec_arg),
+    "schur": ("check_schur_sum", _spec_arg),
+    "barrier": ("check_barrier_independence", _barrier_args),
 }
 
 # task kind -> (theorems check, by name so it resolves through the module
@@ -255,7 +249,10 @@ def run_task(task: Task) -> CheckReport:
     kind, payload = task
     if kind in _CONTROLS:
         return _run_control(kind, payload)
-    return _RUNNERS[kind](payload)
+    if kind == "asym":
+        return _run_asym(payload)
+    check_name, read_args = _CHECKS[kind]
+    return getattr(theorems, check_name)(*read_args(payload))
 
 
 # Witness instances where the negative-control variants demonstrably differ

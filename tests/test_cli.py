@@ -214,6 +214,12 @@ _ASYM = ["asym", "--clusters", "c.json", "--clusters-alt", "c.json",
     (["corpus", "--size", "-1"], "--size"),
     (_ASYM + ["--nmax", "0"], "--nmax"),
     (_ASYM + ["--nmax", "-2"], "--nmax"),
+    (["corpus", "--max-L", "0"], "--max-L"),
+    (["corpus", "--max-L", "-2"], "--max-L"),
+    (["count", "--x", "3", "--y", "3", "--engine", "brute", "--limit", "-5"],
+     "--limit"),
+    (["qcount", "--x", "3", "--y", "3", "--engine", "brute", "--limit", "-5"],
+     "--limit"),
 ])
 def test_sizes_below_range_are_usage_errors(argv, flag, capsys):
     # argparse rejects the value before any cluster file is opened
@@ -221,6 +227,16 @@ def test_sizes_below_range_are_usage_errors(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {flag}" in captured.err
+
+
+@pytest.mark.parametrize("max_L", ["1", "2"])
+def test_corpus_short_of_size_exits_1(max_L, capsys):
+    # too few distinct specs have L <= max_L to fill 50; the draws are
+    # bounded, so this ends with an error instead of looping forever
+    assert main(["corpus", "--size", "50", "--max-L", max_L]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "short of size 50" in captured.err
 
 
 def test_public_api_names_resolve():

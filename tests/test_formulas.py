@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from dentedhex.engines import count_brute, qcount_axis, qcount_brute
-from dentedhex.exactnum import (ExactnessError, QPoly, QRatio, digit_width,
-                                one_minus_q_quotient)
+from dentedhex.exactnum import ExactnessError, QPoly, QRatio
 from dentedhex.formulas import (ClusterStats, IncompatibleClusters,
                                 ShuffleInstance, asym_rhs, clp_q_dents,
                                 cluster_s_values, delta, delta_q,
@@ -40,6 +39,10 @@ def test_pp_q():
     for _ in range(20):
         a, b, c = (rng.randint(0, 3) for _ in range(3))
         assert pp_q(a, b, c).eval_one() == pp(a, b, c)
+    # a box with no k-layers, as pp clamps it
+    for c in (-1, -3):
+        assert pp_q(2, 3, c) == QPoly.one()
+        assert pp_q(2, 3, c).eval_one() == pp(2, 3, c)
 
 
 def test_clp_values():
@@ -71,6 +74,13 @@ def test_clp_q():
         p = clp_q_dents(dents)
         assert p.eval_one() == schur_ones(dents)
         assert not p or p.min_exp() >= 0
+    # 30 dents; a product of q-integer ratios reads the same both ways
+    S = tuple(range(1, 60, 2))
+    p = clp_q_dents(S)
+    assert p.eval_one() == schur_ones(S)
+    c = dict(p.items())
+    coeffs = [c.get(e, 0) for e in range(p.min_exp(), p.max_exp() + 1)]
+    assert coeffs == coeffs[::-1]
     # a dent left of the base would need a negative exponent
     with pytest.raises(ExactnessError):
         clp_q_dents((0,))
@@ -90,22 +100,16 @@ def test_clp_q_dents_against_brute_force():
     assert cases == 162
 
 
-def test_clp_q_dents_matches_one_minus_q_quotient():
-    # bases up to 30 make schur_ones(S), hence the packed digit, several
-    # bytes wide
+def test_clp_q_dents_matches_delta_q_quotient():
+    # the defining product q^(sum(s_i - i)) * dq(S) / dq([a]), divided by
+    # general polynomial division, on bases up to 30 and up to 15 dents
     rng = random.Random(35)
-    widths = set()
     for _ in range(80):
         base = rng.randint(1, 30)
         a = rng.randint(0, min(15, base))
         S = tuple(sorted(rng.sample(range(1, base + 1), a)))
-        num = [S[j] - S[i] for i in range(a) for j in range(i + 1, a)]
-        den = [j - i for i in range(a) for j in range(i + 1, a)]
-        shift = sum((a - i) * (S[i] - i - 1) for i in range(a))
-        want = one_minus_q_quotient(num, den).shifted(shift)
-        assert clp_q_dents(S) == want
-        widths.add(digit_width(schur_ones(S)))
-    assert min(widths) == 1 and max(widths) >= 4
+        want = delta_q(S).divexact(delta_q(range(1, a + 1)))
+        assert clp_q_dents(S) == want.shifted(sum(S) - a * (a + 1) // 2)
 
 
 def test_delta():
@@ -210,7 +214,8 @@ def test_q_shuffle_rhs_condensation_compatibility():
             g_ab = q_shuffle_rhs(grown((a, b), 1, 1))
         except SpecError:
             continue
-        assert g_b * g_a == g * g_ab
+        assert (QRatio(g_b.num * g_a.num, g_b.den * g_a.den)
+                == QRatio(g.num * g_ab.num, g.den * g_ab.den))
         done += 1
 
 
