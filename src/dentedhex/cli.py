@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from .engines import (RegionTooLarge, count_axis, count_brute,
                       enumerate_tilings, qcount_axis, qcount_brute)
@@ -29,6 +30,14 @@ def _load_spec(path: str):
 def _load_clusters(path: str) -> ClusterSpec:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if (not isinstance(obj, dict)
+            or not isinstance(obj.get("clusters"), list)
+            or not isinstance(obj.get("gaps"), list)
+            or any(not isinstance(c, list) for c in obj["clusters"])
+            or any(not isinstance(g, int) or isinstance(g, bool)
+                   for g in obj["gaps"])):
+        raise SpecError("clusters JSON needs clusters and gaps: a list of "
+                        "token lists and a list of integers")
     return ClusterSpec(tuple(tuple(c) for c in obj["clusters"]),
                        tuple(obj["gaps"]))
 
@@ -165,6 +174,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a positive finite float, else a usage error (exit 1)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, "
+                                         f"got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse: "invalid float value: 'x'"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dentedhex",
@@ -232,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec(p)
     p.add_argument("--tiling", type=_int_at_least(0), default=None,
                    help="index into the deterministic tiling enumeration")
-    p.add_argument("--unit", type=float, default=24.0, help="pixels per unit")
+    p.add_argument("--unit", type=_positive_float, default=24.0,
+                   help="pixels per unit")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_render)
 

@@ -10,17 +10,30 @@ It counts every tiling without visiting each one. They are the oracle:
 simple, and obviously faithful to the region. enumerate_tilings is the
 only per-tiling walk, for rendering.
 
+Both run one DP on plain ints, with the q-weights evaluated at q = 2^k:
+matching along an edge of weight w shifts a value left by k*w bits, and
+count_brute is k = 0. Each up triangle is matched exactly once, so its
+least edge weight is first taken off all its edges; every shift is then
+nonnegative and the sum is q^low * P(q), low the sum of those least
+weights. qcount_brute reads P back as k-bit digits (QPoly.from_packed).
+Its coefficients are nonnegative and sum to the count, the permanent of
+the 0-1 up x down adjacency matrix, so Bregman's bound on that permanent,
+a product over the up triangles' degrees, sizes the digits without a
+counting pass. A digit that overflowed would read back negative, which
+raises ExactnessError.
+
 The DP's memory follows its largest single layer, not every state it
 ever reaches, and the layer width depends on the region's height more
 than on its size: the flat make_spec(300, 2) (2,408 triangles) peaks at
 10 states, the tall make_spec(2, 12) (384 triangles) at 1,105 and
 make_spec(8, 8) (384 triangles) at 22,308. make_spec(8, 8) counts in
-about 1 s and 20 MB of peak RSS, make_spec(10, 10) in about 27 s and
-77 MB (Python 3.11, one core of a 2-vCPU machine). BRUTE_LIMIT stays at
-120 triangles all the same: it also guards enumerate_tilings, which is
-exponential, and the CLI tests rely on it to refuse rendering a tiling of
-the 298-triangle demo region. Callers that want a larger region counted
-pass an explicit limit.
+about 0.8 s and 20 MB of peak RSS, make_spec(10, 10) in about 27 s and
+77 MB. The q-count of make_spec(8, 8), packed in 20-byte digits, takes
+about 4.4 s and 242 MB (Python 3.11, one core of a 2-vCPU machine).
+BRUTE_LIMIT stays at 120 triangles all the same: it also guards
+enumerate_tilings, which is exponential, and the CLI tests rely on it to
+refuse rendering a tiling of the 298-triangle demo region. Callers that
+want a larger region counted pass an explicit limit.
 
 count_axis / qcount_axis cut every tiling along the axis. Exactly y of the
 free base positions are straddled by vertical lozenges, so the count is
@@ -100,28 +113,27 @@ def _right_tilt_exponent(b: int) -> int:
 
 
 def _dual_graph(region: TriangularRegion):
-    """Sorted triangle list plus, per triangle, its partner (index, weight)."""
+    """Sorted triangle list plus, per triangle, its partner (index, weight).
+
+    Mates are looked up as plain (a, b, up) tuples, which hash and compare
+    as the Triangle they stand for.
+    """
     tris = sorted(region.triangles)
     index = {t: i for i, t in enumerate(tris)}
     partners: list[list[tuple[int, int]]] = [[] for _ in tris]
-    for t in tris:
-        if not t.up:
+    barred = region.forbidden_vertical
+    for i, (a, b, up) in enumerate(tris):
+        if not up:
             continue
-        i = index[t]
-        mates = (
-            (Triangle(t.a, t.b, False), _right_tilt_exponent(t.b)),  # R
-            (Triangle(t.a - 1, t.b, False), 0),                      # L
-            (Triangle(t.a, t.b - 1, False), 0),                      # V
-        )
+        mates = [((a, b, False), _right_tilt_exponent(b)),  # R
+                 ((a - 1, b, False), 0)]                    # L
+        if not (b == 0 and a + 1 in barred):
+            mates.append(((a, b - 1, False), 0))            # V
         for mate, w in mates:
             j = index.get(mate)
-            if j is None:
-                continue
-            if (mate.b == t.b - 1 and t.b == 0
-                    and (t.a + 1) in region.forbidden_vertical):
-                continue
-            partners[i].append((j, w))
-            partners[j].append((i, w))
+            if j is not None:
+                partners[i].append((j, w))
+                partners[j].append((i, w))
     for ps in partners:
         ps.sort()
     return tris, partners
@@ -135,25 +147,30 @@ def _check_size(region: TriangularRegion, limit: int | None):
     return m
 
 
-def _matching_sum(region: TriangularRegion, one, zero, shift):
-    """Sum over the perfect matchings of the dual graph, one triangle at a
-    time.
+def _matching_sum(tris, partners, k: int) -> tuple[int, int]:
+    """(P(2^k), low), where q^low * P(q) sums the q-weights of the perfect
+    matchings of the dual graph; k = 0 gives the number of matchings.
+
+    Each up triangle is matched exactly once, so subtracting its least
+    edge weight from all of its edges takes q^low out of every matching,
+    low the sum of those least weights, and leaves every shift k * w >= 0.
+    Down triangles are offset by 0.
 
     Before step i every triangle below i is covered, so a partial matching
     is known by which later triangles it covers: bit d of the state is
     triangle i + d. A layer maps each state to the summed value of its
-    partial matchings. Step i shifts a covered triangle out; an uncovered
-    one is matched with each free partner j > i, the value times q^w
-    (shift(value, w)). The full region is the state 0 after the last step;
-    the empty region never steps and is worth `one`.
+    partial matchings at q = 2^k. Step i shifts a covered triangle out; an
+    uncovered one is matched with each free partner j > i, the value times
+    2^(k * w). The full region is the state 0 after the last step; the
+    empty region never steps and is worth 1.
     """
-    if len(region.triangles) % 2:
-        return zero
-    _, partners = _dual_graph(region)
-    layer = {0: one}
+    off = [min(w for _, w in ps) if t.up and ps else 0
+           for t, ps in zip(tris, partners)]
+    layer = {0: 1}
     for i, ps in enumerate(partners):
-        mates = [(1 << j - i, w) for j, w in ps if j > i]
-        nxt: dict = {}
+        mates = [(1 << j - i, k * (w - off[i] - off[j]))
+                 for j, w in ps if j > i]
+        nxt: dict[int, int] = {}
         get = nxt.get
         for state, v in layer.items():
             if state & 1:
@@ -161,32 +178,52 @@ def _matching_sum(region: TriangularRegion, one, zero, shift):
                 old = get(s)
                 nxt[s] = v if old is None else old + v
                 continue
-            for bit, w in mates:
+            for bit, shift in mates:
                 if not state & bit:
                     s = (state | bit) >> 1
-                    u = shift(v, w) if w else v
+                    u = v << shift if shift else v
                     old = get(s)
                     nxt[s] = u if old is None else old + u
         layer = nxt
-    return layer.get(0, zero)
-
-
-def _unshifted(v: int, w: int) -> int:
-    """A count ignores the weights."""
-    return v
+    return layer.get(0, 0), sum(off)
 
 
 def count_brute(region: TriangularRegion, limit: int | None = None) -> int:
     """Number of perfect matchings of the dual graph; empty region -> 1."""
     _check_size(region, limit)
-    return _matching_sum(region, 1, 0, _unshifted)
+    return _matching_sum(*_dual_graph(region), 0)[0]
+
+
+def _count_bound(tris, partners) -> int:
+    """A power of two at least the number of perfect matchings.
+
+    That number is the permanent of the 0-1 up x down adjacency matrix,
+    which Bregman's bound (1973) keeps at most the product over up
+    triangles of (d!)^(1/d), d the degree. Its sixth power is the integer
+    B6 = prod (d!)^(6/d) (d <= 3), below 2^bits(B6), so the bound
+    2^ceil(bits(B6) / 6) holds. It costs no pass over the matchings.
+    """
+    b6 = prod((1, 1, 8, 36)[len(ps)]
+              for t, ps in zip(tris, partners) if t.up)
+    return 1 << (b6.bit_length() + 5) // 6
 
 
 def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
-    """Sum of q-weights over all tilings, as a Laurent polynomial."""
+    """Sum of q-weights over all tilings, as a Laurent polynomial.
+
+    The coefficients are nonnegative and sum to the count, so each one
+    fits a digit sized by _count_bound; an overflowed digit would read
+    back negative.
+    """
     _check_size(region, limit)
-    return _matching_sum(region, QPoly.one(), QPoly.zero(),
-                         QPoly.shifted)
+    tris, partners = _dual_graph(region)
+    width = digit_width(_count_bound(tris, partners))
+    n, low = _matching_sum(tris, partners, 8 * width)
+    out = QPoly.from_packed(n, width, low)
+    if any(v < 0 for _, v in out.items()):
+        raise ExactnessError("qcount_brute: a packed coefficient overflowed "
+                             "its digit")
+    return out
 
 
 def _classify(up: Triangle, down: Triangle) -> Lozenge:

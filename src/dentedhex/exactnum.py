@@ -13,7 +13,7 @@ bits per coefficient. Packed values multiply as the polynomials do, and
 QPoly.from_packed reads the product back as balanced digits in
 (-2^(k-1), 2^(k-1)), which is exact as long as every coefficient lies in
 that range. digit_width(bound) picks the least whole-byte k with
-bound < 2^(k-1). Two bounds are used:
+bound < 2^(k-1). Three bounds are used:
 
 - QPoly.__mul__: a product coefficient sums at most min(len a, len b)
   terms, each at most max|a| * max|b| in magnitude.
@@ -21,6 +21,11 @@ bound < 2^(k-1). Two bounds are used:
   bound on the result's coefficients; its weights, products of m
   binomials q^i - q^j, enter the determinant as QPoly.packed values, and
   their coefficients sum in absolute value to at most 2^m.
+- engines.qcount_brute: the result's coefficients are nonnegative and
+  sum to the tiling count, which Bregman's bound on the permanent caps
+  from the triangle degrees (engines._count_bound). The DP only shifts
+  and adds exact ints, so its partial values may carry across digits;
+  only the final value is read back.
 
 A packed operand holds one digit per exponent from its lowest to its
 highest, so a QPoly product costs time and memory in proportion to each

@@ -181,6 +181,38 @@ def test_render_cli(demo_file, tmp_path, capsys):
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unit", ["0", "-5", "nan", "inf"])
+def test_render_unit_must_be_positive_finite(demo_file, tmp_path, unit,
+                                             capsys):
+    out = tmp_path / "r.svg"
+    assert main(["render", "--spec", demo_file, "--unit", unit,
+                 "--out", str(out)]) == 1
+    assert "error: argument --unit: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("obj", [
+    {"clusters": [["up"], ["down"]]},              # no gaps
+    [[["up"], ["down"]], [2]],                     # not an object
+    {"clusters": "up", "gaps": [2]},               # clusters not a list
+    {"clusters": ["up", "down"], "gaps": [2]},     # a cluster not a list
+    {"clusters": [["up"], ["down"]], "gaps": {}},  # gaps not a list
+    {"clusters": [["up"], ["down"]], "gaps": [{}]},
+])
+def test_asym_rejects_malformed_clusters(tmp_path, obj, capsys):
+    bad = _spec_file(tmp_path, "bad.json", obj)
+    good = _spec_file(tmp_path, "good.json",
+                      {"clusters": [["up"], ["down"]], "gaps": [2]})
+    for pair in ([bad, good], [good, bad]):
+        assert main(["asym", "--clusters", pair[0], "--clusters-alt", pair[1],
+                     "--x", "1", "--y", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: clusters JSON needs clusters "
+                                       "and gaps")
+        assert captured.err.count("\n") == 1
+
+
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     # exit 2 iff any check fails (forced here by corrupting a report)
     import dentedhex.cli as cli_mod

@@ -3,16 +3,17 @@ from itertools import combinations, permutations
 
 import pytest
 
-from dentedhex.engines import (RegionTooLarge, _hankel_det, count_axis,
-                               count_brute, enumerate_tilings, qcount_axis,
-                               qcount_brute, tiling_qweight)
+from dentedhex.engines import (RegionTooLarge, _count_bound, _dual_graph,
+                               _hankel_det, count_axis, count_brute,
+                               enumerate_tilings, qcount_axis, qcount_brute,
+                               tiling_qweight)
 from dentedhex.exactnum import ExactnessError, QPoly
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
 from dentedhex.harness import engine_corpus, random_region_spec
 from dentedhex.theorems import crossing_subsets
-from dentedhex.lattice import (TriangularRegion, build_region, flip_spec,
-                               lozenge_triangles, make_spec, mirror_spec,
-                               reflect_positions)
+from dentedhex.lattice import (Triangle, TriangularRegion, build_region,
+                               flip_spec, lozenge_triangles, make_spec,
+                               mirror_spec, reflect_positions)
 
 
 def test_count_anchors():
@@ -222,6 +223,43 @@ def test_oracle_matches_axis_beyond_default_budget():
     hexagon = make_spec(5, 5)
     region = build_region(hexagon)
     assert qcount_brute(region, limit=150) == qcount_axis(hexagon)
+
+
+def test_packed_q_oracle_matches_axis():
+    # hex(6,6), 216 triangles: past the default budget
+    hexagon = make_spec(6, 6)
+    qb = qcount_brute(build_region(hexagon), limit=216)
+    assert qb == qcount_axis(hexagon)
+    assert qb.eval_one() == pp(6, 6, 6)
+    # three down dents and rows b = -1 .. -5 below the axis, where a
+    # right-tilting lozenge weighs q^b: the least-weight offset is negative
+    dented = make_spec(2, 2, (4,), (1, 3, 5))
+    region = build_region(dented)
+    qb = qcount_brute(region, limit=len(region.triangles))
+    assert qb == qcount_axis(dented)
+    assert qb.min_exp() < 0
+
+
+def test_count_bound_covers_the_count():
+    # the digit width of qcount_brute rests on this bound
+    specs = engine_corpus(seed=7, size=300) + [make_spec(n, n)
+                                               for n in range(7)]
+    for spec in specs:
+        region = build_region(spec)
+        m = len(region.triangles)
+        assert _count_bound(*_dual_graph(region)) >= count_brute(region,
+                                                                 limit=m)
+
+
+def test_qcount_brute_degenerate_regions():
+    assert qcount_brute(build_region(make_spec(0, 0))) == QPoly.one()
+    odd = TriangularRegion(frozenset({Triangle(0, 0, True)}), frozenset(), 1)
+    apart = TriangularRegion(frozenset({Triangle(0, 0, True),
+                                        Triangle(5, 0, False)}),
+                             frozenset(), 7)
+    for region in (odd, apart):
+        assert qcount_brute(region) == QPoly.zero()
+        assert count_brute(region) == 0
 
 
 def _wide_spec(rng, y):
