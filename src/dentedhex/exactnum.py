@@ -6,17 +6,28 @@ Laurent polynomials in a single variable q with integer coefficients, and
 equality of ratios of such polynomials decided by cross-multiplication
 instead of division. No floating point anywhere.
 
-Polynomial products run on CPython's big-int multiply (Kronecker
-substitution): a polynomial with coefficients c_i, shifted so its lowest
-exponent is 0, is packed into the single int sum c_i * 2^(k*i), k = 8*width
-bits per coefficient. Packed values multiply as the polynomials do, and
-QPoly.from_packed reads the product back as balanced digits in
-(-2^(k-1), 2^(k-1)), which is exact as long as every coefficient lies in
-that range. digit_width(bound) picks the least whole-byte k with
-bound < 2^(k-1). Three bounds are used:
+QPoly.__mul__ has two algorithms, chosen by the operands' term counts
+alone. A product of at most MUL_CROSSOVER_PAIRS term pairs, len(a) *
+len(b), sums v*w into the coefficient of q^(e+f) over the pairs and
+drops the coefficients that cancel to zero. Larger products run on
+CPython's big-int multiply (Kronecker substitution): a polynomial with
+coefficients c_i, shifted so its lowest exponent is 0, is packed into the
+single int sum c_i * 2^(k*i), k = 8*width bits per coefficient. Packed
+values multiply as the polynomials do, and QPoly.from_packed reads the
+product back as balanced digits in (-2^(k-1), 2^(k-1)), which is exact as
+long as every coefficient lies in that range. The crossover is there
+because packing and reading back cost tens of microseconds per product
+whatever its size. That is several times the term-by-term loop on the
+monomials and short polynomials that the identity checks mostly
+multiply. Over the products of a seed-7 verify round, the two algorithms
+cost the same at about 200 term pairs.
 
-- QPoly.__mul__: a product coefficient sums at most min(len a, len b)
-  terms, each at most max|a| * max|b| in magnitude.
+digit_width(bound) picks the least whole-byte k with bound < 2^(k-1).
+Three bounds are used:
+
+- QPoly.__mul__, Kronecker branch only: a product coefficient sums at
+  most min(len a, len b) terms, each at most max|a| * max|b| in
+  magnitude.
 - engines.qcount_axis: the same argument with count_axis(spec) as the
   bound on the result's coefficients; its weights, products of m
   binomials q^i - q^j, enter the determinant as QPoly.packed values, and
@@ -28,9 +39,11 @@ bound < 2^(k-1). Three bounds are used:
   only the final value is read back.
 
 A packed operand holds one digit per exponent from its lowest to its
-highest, so a QPoly product costs time and memory in proportion to each
-operand's exponent span, not its term count: (1 + q^100000) * (1 + q)
-packs 100,001 digits.
+highest, so the Kronecker branch costs time and memory in proportion to
+each operand's exponent span, not its term count. The term-by-term
+branch does not: (1 + q^100000) * (1 + q) is 4 term pairs and takes
+microseconds. A sparse product above the crossover still pays for its
+span.
 """
 
 from __future__ import annotations
@@ -55,6 +68,11 @@ class ExactnessError(ArithmeticError):
     Raised instead of a bare assert so the check still runs under
     ``python -O``.
     """
+
+
+# Products of at most this many term pairs, len(a) * len(b), are summed
+# term by term; larger ones go through Kronecker substitution.
+MUL_CROSSOVER_PAIRS = 192
 
 
 class QPoly:
@@ -140,6 +158,9 @@ class QPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant hashes as the int it equals; zero as 0
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __neg__(self) -> "QPoly":
@@ -181,6 +202,14 @@ class QPoly:
         a, b = self._c, other._c
         if not a or not b:
             return QPoly.zero()
+        if len(a) * len(b) <= MUL_CROSSOVER_PAIRS:
+            c: dict[int, int] = {}
+            get = c.get
+            bi = b.items()
+            for e, v in a.items():
+                for f, w in bi:
+                    c[e + f] = get(e + f, 0) + v * w
+            return QPoly._raw({e: v for e, v in c.items() if v})
         # no product coefficient exceeds bound in magnitude
         bound = (min(len(a), len(b)) * max(map(abs, a.values()))
                  * max(map(abs, b.values())))
@@ -351,9 +380,13 @@ def one_minus_q_quotient(num_exps: Iterable[int], den_exps: Iterable[int]) -> QP
     return QPoly({e: v for e, v in enumerate(poly) if v})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QRatio:
-    """A ratio of Laurent polynomials, compared by cross-multiplication."""
+    """A ratio of Laurent polynomials, compared by cross-multiplication.
+
+    Unhashable: equal ratios such as 2q/2 and q/1 have no cheap common
+    form to hash.
+    """
 
     num: QPoly
     den: QPoly

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from dentedhex.exactnum import (InexactDivision, QPoly, QRatio,
-                                ZeroDenominator, one_minus_q_quotient)
+from dentedhex.exactnum import (MUL_CROSSOVER_PAIRS, InexactDivision, QPoly,
+                                QRatio, ZeroDenominator, one_minus_q_quotient)
 
 q = QPoly.q()
 
@@ -53,6 +54,59 @@ def test_mul_stores_no_zero_coefficients():
         assert p == schoolbook(a, b)
         assert 0 not in dict(p.items()).values()
     assert (1 - q + q ** 2) * (1 + q) == 1 + q ** 3
+
+
+def evaluate(p, x):
+    return sum((Fraction(x) ** e * v for e, v in p.items()), Fraction(0))
+
+
+def with_terms(rng, n, max_coeff):
+    """A random polynomial with exactly n terms, negative exponents included."""
+    exps = rng.sample(range(-60, 60), n) if n <= 120 else range(-n, 0)
+    return QPoly({e: rng.choice((-1, 1)) * rng.randint(1, max_coeff)
+                  for e in exps})
+
+
+def assert_product(a, b):
+    p = a * b
+    for x in (2, 3, -1):
+        assert evaluate(p, x) == evaluate(a, x) * evaluate(b, x)
+    assert 0 not in dict(p.items()).values()
+    return p
+
+
+def test_mul_on_both_sides_of_the_crossover():
+    # operands with exactly MUL_CROSSOVER_PAIRS term pairs take the
+    # term-by-term branch, one pair more the Kronecker branch; each product
+    # is checked by evaluation, which depends on neither algorithm
+    rng = random.Random(17)
+    for pairs in (MUL_CROSSOVER_PAIRS, MUL_CROSSOVER_PAIRS + 1):
+        shapes = {(d, pairs // d) for d in range(1, pairs + 1)
+                  if pairs % d == 0}
+        for la, lb in sorted(shapes):
+            for max_coeff in (1, 9, 2 ** 64, 2 ** 200):
+                a = with_terms(rng, la, max_coeff)
+                b = with_terms(rng, lb, max_coeff)
+                assert len(a.items()) * len(b.items()) == pairs
+                assert_product(a, b)
+                n = rng.randint(-2 ** 200, 2 ** 200)
+                assert a * n == n * a == a * QPoly.monomial(0, n)
+                assert evaluate(a * n, 3) == evaluate(a, 3) * n
+        # a product that cancels, with 2m term pairs, the least even count
+        # >= pairs: (1 + ... + q^(m-1)) * (1 - q) = 1 - q^m, scaled by
+        # 2^200 and shifted to negative exponents
+        m = pairs // 2 + pairs % 2
+        big = 2 ** 200
+        ones = QPoly({e: big for e in range(-m, 0)})
+        step = QPoly({-7: big, -6: -big})
+        p = assert_product(ones, step)
+        assert p == QPoly({-m - 7: big * big, -7: -big * big})
+        assert assert_product(ones, -step) == -p
+
+
+def test_sparse_product_is_four_terms():
+    p = (1 + q ** 100000) * (1 + q)
+    assert dict(p.items()) == {0: 1, 1: 1, 100000: 1, 100001: 1}
 
 
 def test_mul_at_the_coefficient_bound():
@@ -185,7 +239,30 @@ def test_qratio_zero_denominator():
 
 
 def test_qratio_limit_at_one():
-    from fractions import Fraction
     r = QRatio((q ** 2 - 1) * (q - 1), (q - 1) * (q - 1) * 3)
     # (q+1)/3 at q=1
     assert r.limit_at_one() == Fraction(2, 3)
+
+
+def test_equal_values_hash_equal():
+    assert QPoly.monomial(0, 5) == 5
+    assert hash(QPoly.monomial(0, 5)) == hash(5)
+    assert 5 in {QPoly.monomial(0, 5)}
+    assert QPoly.monomial(0, 5) in {5}
+    assert QPoly.zero() == 0
+    assert hash(QPoly.zero()) == hash(0) == 0
+    assert 0 in {QPoly.zero()}
+    for n in (-1, 2 ** 200, -(3 ** 90)):
+        assert hash(QPoly.monomial(0, n)) == hash(n)
+    assert hash((q + 1) * (q - 1)) == hash(q ** 2 - 1)
+    assert len({(q + 1) * (q - 1), q ** 2 - 1, QPoly.monomial(0, 1), 1}) == 2
+
+
+def test_qratio_is_unhashable():
+    a = QRatio(2 * q, QPoly.monomial(0, 2))
+    b = QRatio(q, QPoly.one())
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError):
+        {a, b}
