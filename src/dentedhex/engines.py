@@ -336,6 +336,8 @@ def _factorials(lo: int, hi: int) -> int:
 def count_axis(spec: ValidatedSpec) -> int:
     """Tiling count: the crossing sum as one y x y Hankel determinant."""
     U, D, y = spec.U, spec.D, spec.y
+    if not y:  # the empty determinant and factorial products leave s(U) s(D)
+        return schur_ones(U) * schur_ones(D)
     weights = [prod(abs(s - t) for t in U + D) for s in spec.free]
     det = _hankel_det(_moments(weights, spec.free, y), y)
     num = schur_ones(U) * schur_ones(D) * det
@@ -369,8 +371,8 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
     weights = []
     for s in spec.free if y else ():  # y = 0 needs no moments
         w = QPoly.monomial(2 * s)
-        for t in U + D:
-            w = w * QPoly({max(s, t): 1, min(s, t): -1})
+        for t in U + D:  # s is free, so s != t: the binomial is normal
+            w = w * QPoly._raw({max(s, t): 1, min(s, t): -1})
         weights.append(w.packed(width))
     nodes = [1 << k * s for s in spec.free]
     det = _hankel_det(_moments(weights, nodes, y), y)

@@ -41,15 +41,20 @@ def pp(a: int, b: int, c: int) -> int:
     return out
 
 
+def _pp_exponents(a: int, b: int, c: int) -> tuple[list[int], list[int]]:
+    """The factor exponents of pp_q(a, b, c): one pair per (i, j)."""
+    c = max(c, 0)  # as in pp: a box with no k-layers is an empty product
+    num = [i + j + c - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
+    den = [i + j - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
+    return num, den
+
+
 def pp_q(a: int, b: int, c: int) -> QPoly:
     """q-analog of pp: prod (1-q^(i+j+k-1))/(1-q^(i+j+k-2)), a polynomial.
 
     The k-product telescopes, leaving one factor pair per (i,j).
     """
-    c = max(c, 0)  # as in pp: a box with no k-layers is an empty product
-    num = [i + j + c - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
-    den = [i + j - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
-    return one_minus_q_quotient(num, den)
+    return one_minus_q_quotient(*_pp_exponents(a, b, c))
 
 
 def schur_ones(S: Sequence[int]) -> int:
@@ -106,12 +111,30 @@ def delta(S: Sequence[int]) -> int:
 
 
 def delta_q(S: Sequence[int]) -> QPoly:
-    """prod over i<j of (q^(s_j) - q^(s_i))."""
-    out = QPoly.one()
-    for i in range(len(S)):
-        for j in range(i + 1, len(S)):
-            out = out * QPoly({S[j]: 1, S[i]: -1})
-    return out
+    """prod over i<j of (q^(s_j) - q^(s_i)), S strictly increasing."""
+    return _delta_q_product((S,))
+
+
+def _delta_q_product(sets: Sequence[Sequence[int]], num: Sequence[int] = (),
+                     den: Sequence[int] = (), shift: int = 0) -> QPoly:
+    """q^shift * prod of delta_q(T) over T in sets * prod (1 - q^a) over a
+    in num / prod (1 - q^b) over b in den, which must be a polynomial.
+
+    For T strictly increasing, delta_q(T) = (-1)^C(|T|,2) *
+    q^(sum_i t_i (|T|-1-i)) * prod_{i<j} (1 - q^(t_j - t_i)), so this is
+    one one_minus_q_quotient call, the gaps t_j - t_i joining num, times a
+    sign and a q-power. A T not strictly increasing has a gap <= 0, which
+    one_minus_q_quotient rejects with ValueError.
+    """
+    gaps = list(num)
+    pairs = low = 0
+    for T in sets:
+        n = len(T)
+        gaps += [T[j] - T[i] for j in range(n) for i in range(j)]
+        pairs += n * (n - 1) // 2
+        low += sum(t * (n - 1 - i) for i, t in enumerate(T))
+    out = one_minus_q_quotient(gaps, den).shifted(low + shift)
+    return -out if pairs % 2 else out
 
 
 def lambda_of(S: Sequence[int]) -> tuple[int, ...]:
@@ -261,14 +284,17 @@ def q_shuffle_rhs(inst: ShuffleInstance) -> QRatio:
     denominator           dq(U2) dq(D2) dq([u]) dq([d]) pp_q(u2,d2,y)
 
     where dq is delta_q, [k] = {1..k} and shift = q_shift_exponent(inst).
+    Each side is one one_minus_q_quotient call (_delta_q_product): the
+    gaps of its four dq factors and pp_q's numerator exponents over pp_q's
+    denominator exponents, times the sign and q-power of the dq factors.
     """
     u, d, u2, d2 = inst.sizes
-    num = (delta_q(inst.U) * delta_q(inst.D)
-           * delta_q(_range_set(u2)) * delta_q(_range_set(d2))
-           * pp_q(u, d, inst.y)).shifted(q_shift_exponent(inst))
-    den = (delta_q(inst.U2) * delta_q(inst.D2)
-           * delta_q(_range_set(u)) * delta_q(_range_set(d))
-           * pp_q(u2, d2, inst.y))
+    num = _delta_q_product(
+        (inst.U, inst.D, _range_set(u2), _range_set(d2)),
+        *_pp_exponents(u, d, inst.y), shift=q_shift_exponent(inst))
+    den = _delta_q_product(
+        (inst.U2, inst.D2, _range_set(u), _range_set(d)),
+        *_pp_exponents(u2, d2, inst.y))
     return QRatio(num, den)
 
 

@@ -26,6 +26,7 @@ axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactnum import ExactnessError
@@ -124,15 +125,19 @@ class ValidatedSpec:
 
 
 def _checked_positions(name: str, values: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(v) for v in values)
-    for v in out:
-        if v < 1:
-            raise PositionOutOfRange(f"{name} position {v} is not >= 1")
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise DuplicateEntry(f"{name} contains {a} twice")
-        if a > b:
-            raise NotSorted(f"{name} is not strictly increasing at {a},{b}")
+    out = tuple(map(int, values))
+    # a strictly increasing tuple is positive iff its first entry is; the
+    # loops run only on a fault, to name the first one
+    if out and (out[0] < 1 or not all(map(int.__lt__, out, out[1:]))):
+        for v in out:
+            if v < 1:
+                raise PositionOutOfRange(f"{name} position {v} is not >= 1")
+        for a, b in zip(out, out[1:]):
+            if a == b:
+                raise DuplicateEntry(f"{name} contains {a} twice")
+            if a > b:
+                raise NotSorted(
+                    f"{name} is not strictly increasing at {a},{b}")
     return out
 
 
@@ -146,16 +151,20 @@ def make_spec(x: int, y: int, U: Sequence[int] = (), D: Sequence[int] = (),
     D = _checked_positions("D", D)
     B = _checked_positions("B", B)
     dents = set(U) | set(D)
-    if set(B) & dents:
-        raise BarrierOverlap(f"barriers {sorted(set(B) & dents)} collide with dents")
+    barred = set(B)
+    if not dents.isdisjoint(barred):
+        raise BarrierOverlap(
+            f"barriers {sorted(barred & dents)} collide with dents")
     if len(B) > x:
         raise TooManyBarriers(f"{len(B)} barriers but x={x}")
     L = x + y + len(dents)
-    blocked = dents | set(B)
-    for v in blocked:
-        if v > L:
-            raise PositionOutOfRange(f"position {v} exceeds the base length {L}")
-    free = tuple(k for k in range(1, L + 1) if k not in blocked)
+    blocked = dents | barred
+    if blocked and max(blocked) > L:
+        for v in blocked:
+            if v > L:
+                raise PositionOutOfRange(
+                    f"position {v} exceeds the base length {L}")
+    free = tuple(filterfalse(blocked.__contains__, range(1, L + 1)))
     return ValidatedSpec(x, y, U, D, B, L, free)
 
 

@@ -174,7 +174,7 @@ def check_kuo(spec: ValidatedSpec) -> CheckReport:
         U = tuple(sorted(spec.U + extra))
         return qcount_axis(make_spec(x, y, U, spec.D, spec.B))
 
-    lhs = mq(spec.x, spec.y, ()) * mq(spec.x - 1, spec.y - 1, (alpha, beta))
+    lhs = qcount_axis(spec) * mq(spec.x - 1, spec.y - 1, (alpha, beta))
     rhs = (mq(spec.x - 1, spec.y, (beta,)) * mq(spec.x, spec.y - 1, (alpha,))
            + mq(spec.x - 1, spec.y, (alpha,)) * mq(spec.x, spec.y - 1, (beta,)))
     instance = dict(spec.to_json_dict(), alpha=alpha, beta=beta)

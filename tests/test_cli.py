@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -38,6 +39,21 @@ def test_count_pure_hexagon(demo_file, capsys):
                  ["count", "--x", "-1", "--y", "2"]):
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_count_prints_more_than_4300_digits(monkeypatch, capsys):
+    # CPython 3.11+ caps int-to-str conversion at 4,300 digits by default
+    import dentedhex.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "count_axis", lambda spec: 10 ** 5000)
+    cap = sys.get_int_max_str_digits() if hasattr(
+        sys, "get_int_max_str_digits") else None
+    try:
+        assert main(["count", "--x", "2", "--y", "2"]) == 0
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+    out = capsys.readouterr().out.strip()
+    assert len(out) == 5001 and out == "1" + "0" * 5000
 
 
 def test_count_brute_small(tmp_path, capsys):

@@ -104,6 +104,24 @@ def test_mul_on_both_sides_of_the_crossover():
         assert assert_product(ones, -step) == -p
 
 
+def test_mul_with_an_operand_of_at_most_two_terms():
+    # a 1- or 2-term operand is multiplied term by term whatever the other
+    # operand's length; each product is checked, in both orders, by
+    # evaluation, which depends on neither algorithm
+    rng = random.Random(18)
+    for ls, ll in ((1, 300), (2, 160), (2, 300)):
+        for max_coeff in (1, 9, 2 ** 200):
+            short = with_terms(rng, ls, max_coeff)
+            long = with_terms(rng, ll, max_coeff)
+            assert assert_product(short, long) == assert_product(long, short)
+    # cancelling: (q^-160 + ... + q^-1) * (1 - q) = q^-160 - 1, scaled
+    big = 2 ** 200
+    ones = QPoly({e: big for e in range(-160, 0)})
+    step = QPoly({0: big, 1: -big})
+    want = QPoly({-160: big * big, 0: -big * big})
+    assert assert_product(ones, step) == want == assert_product(step, ones)
+
+
 def test_sparse_product_is_four_terms():
     p = (1 + q ** 100000) * (1 + q)
     assert dict(p.items()) == {0: 1, 1: 1, 100000: 1, 100001: 1}

@@ -16,7 +16,7 @@ from dentedhex.formulas import (ClusterStats, IncompatibleClusters,
                                 gen_shuffle_rhs, lambda_of, pp, pp_q,
                                 q_shift_exponent, q_shuffle_rhs, schur_ones,
                                 shuffle_rhs)
-from dentedhex.harness import random_shuffle_instance
+from dentedhex.harness import build_suite, random_shuffle_instance
 from dentedhex.lattice import (ClusterSpec, SpecError, build_region,
                                make_spec)
 
@@ -223,6 +223,46 @@ def test_q_shuffle_rhs_against_engines_small():
     inst = ShuffleInstance(2, 1, (1, 2), (), (1,), (2,))
     lhs = QRatio(qcount_axis(inst.spec_a()), qcount_axis(inst.spec_b()))
     assert lhs == q_shuffle_rhs(inst)
+
+
+def _delta_q_written_out(T):
+    out = QPoly.one()
+    for j, t in enumerate(T):
+        for s in T[:j]:
+            out = out * QPoly({t: 1, s: -1})
+    return out
+
+
+def _control_witnesses():
+    # the instances the three negative controls of a seed-7 suite run on
+    tasks = build_suite("thm2", seed=7) + build_suite("thm3", seed=7)
+    return [ShuffleInstance(**payload) for kind, payload in tasks
+            if kind.endswith("_control")]
+
+
+def test_q_shuffle_rhs_sides_are_the_written_out_products():
+    # thm3 reports print num and den, so each side must equal the product
+    # of its delta_q and pp_q factors as a polynomial, not only as a ratio
+    rng = random.Random(37)
+    insts = [random_shuffle_instance(rng, max_L=10, allow_flips=True,
+                                     max_b=1) for _ in range(200)]
+    witnesses = _control_witnesses()
+    assert len(witnesses) == 3
+    for inst in insts + witnesses:
+        u, d, u2, d2 = inst.sizes
+        sides = ((inst.U, inst.D, range(1, u2 + 1), range(1, d2 + 1)),
+                 (inst.U2, inst.D2, range(1, u + 1), range(1, d + 1)))
+        want = []
+        for sets, box in zip(sides, ((u, d), (u2, d2))):
+            side = pp_q(*box, inst.y)
+            for T in sets:
+                dq = _delta_q_written_out(T)
+                assert delta_q(T) == dq
+                side = side * dq
+            want.append(side)
+        ratio = q_shuffle_rhs(inst)
+        assert ratio.num == want[0].shifted(q_shift_exponent(inst))
+        assert ratio.den == want[1]
 
 
 def test_cluster_s_values():

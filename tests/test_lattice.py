@@ -5,9 +5,9 @@ import pytest
 from dentedhex.harness import random_region_spec
 from dentedhex.lattice import (BarrierOverlap, ClusterSpec, DuplicateEntry,
                                GeometryMismatch, NotSorted,
-                               PositionOutOfRange, TooManyBarriers, Triangle,
-                               UP, build_region, clusters_to_spec, flip_spec,
-                               make_spec, spec_from_json_dict,
+                               PositionOutOfRange, SpecError, TooManyBarriers,
+                               Triangle, UP, build_region, clusters_to_spec,
+                               flip_spec, make_spec, spec_from_json_dict,
                                reflect_positions)
 
 
@@ -34,6 +34,46 @@ def test_validate_trivial():
 def test_validate_errors(raw, err):
     with pytest.raises(err):
         make_spec(*raw)
+
+
+# Inputs with two faults each, and the first fault make_spec names: the
+# exception class and message are pinned exactly, so a faster validator
+# must keep the order of its checks and the wording of each error.
+@pytest.mark.parametrize("raw,err,msg", [
+    # nonpositive and unsorted: every entry is checked for >= 1 first
+    ((2, 1, (3, 0), ()), PositionOutOfRange, "U position 0 is not >= 1"),
+    ((2, 1, (2, 1, -1), ()), PositionOutOfRange, "U position -1 is not >= 1"),
+    ((3, 1, (), (5, 4, 0)), PositionOutOfRange, "D position 0 is not >= 1"),
+    ((3, 1, (2, 1), (0,)), NotSorted, "U is not strictly increasing at 2,1"),
+    ((2, 1, (1, 1, 0), ()), PositionOutOfRange, "U position 0 is not >= 1"),
+    # duplicate and out of range: order within a list before the base length
+    ((2, 1, (9, 9), ()), DuplicateEntry, "U contains 9 twice"),
+    ((1, 1, (1,), (7, 7)), DuplicateEntry, "D contains 7 twice"),
+    ((2, 1, (8,), (), (3, 3)), DuplicateEntry, "B contains 3 twice"),
+    ((2, 1, (1, 3), (2,), (9, 1)), NotSorted,
+     "B is not strictly increasing at 9,1"),
+    # overlap and too many barriers: the overlap is named first
+    ((1, 1, (2,), (), (2, 3)), BarrierOverlap,
+     "barriers [2] collide with dents"),
+    ((0, 2, (1,), (1,), (1,)), BarrierOverlap,
+     "barriers [1] collide with dents"),
+    ((1, 0, (5,), (), (5,)), BarrierOverlap,
+     "barriers [5] collide with dents"),
+    ((0, 1, (), (), (9,)), TooManyBarriers, "1 barriers but x=0"),
+    ((-1, 1, (0,)), SpecError, "x and y must be nonnegative"),
+    # two positions past L: the first in the blocked set's iteration order
+    ((1, 0, (17,), (), (9,)), PositionOutOfRange,
+     "position 17 exceeds the base length 2"),
+    ((2, 0, (5, 13), (21,), ()), PositionOutOfRange,
+     "position 13 exceeds the base length 5"),
+    ((1, 0, (3,), (17,), (9,)), PositionOutOfRange,
+     "position 17 exceeds the base length 3"),
+])
+def test_validate_error_precedence(raw, err, msg):
+    with pytest.raises(SpecError) as info:
+        make_spec(*raw)
+    assert type(info.value) is err
+    assert str(info.value) == msg
 
 
 def test_unit_hexagon_triangles():
