@@ -241,7 +241,7 @@ def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
     """All tilings in deterministic DFS order, truncated at limit."""
     m = _check_size(region, max_triangles)
     if m == 0:
-        return [Tiling()]
+        return [Tiling()][:limit]
     if m % 2:
         return []
     tris, partners = _dual_graph(region)
@@ -280,15 +280,6 @@ def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
         chosen.append(loz)
         stack.append(moves(covered))
     return out
-
-
-def tiling_qweight(tiling: Tiling) -> QPoly:
-    """Weight monomial of one tiling: q to the summed right-tilt exponents."""
-    e = 0
-    for loz in tiling:
-        if loz.kind == KIND_R:
-            e += _right_tilt_exponent(loz.b)
-    return QPoly.monomial(e)
 
 
 def _hankel_det(moments: Sequence[int], n: int) -> int:

@@ -121,10 +121,6 @@ class QPoly:
         return cls._raw({exponent: coeff} if coeff else {})
 
     @classmethod
-    def q(cls) -> "QPoly":
-        return cls._raw({1: 1})
-
-    @classmethod
     def from_packed(cls, n: int, width: int, low: int) -> "QPoly":
         """q^low * P, where P is the polynomial with P(2^k) = n, k = 8*width.
 
@@ -229,18 +225,6 @@ class QPoly:
         return QPoly.from_packed(n, width, alow + blow)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def min_exp(self) -> int:
         if not self._c:

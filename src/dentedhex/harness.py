@@ -346,7 +346,9 @@ def build_suite(name: str, seed: int = 7, max_L: int | None = None,
             tasks.append(("barrier", payload))
             made += 1
     elif name == "asym":
-        n_max = count or 6
+        # strict_decay compares the last row with the first, so a table of
+        # one row would fail it whatever the counts: build at least two
+        n_max = max(2, count or 6)
         decay = dict(clusters=[[["up", "down", "up"], ["down"]], [2]],
                      clusters2=[[["up", "up", "down"], ["down"]], [2]],
                      x=1, y=1, n_max=n_max, expect="strict_decay")

@@ -200,7 +200,6 @@ class TriangularRegion:
 
     triangles: frozenset
     forbidden_vertical: frozenset
-    L: int
 
     def up_count(self) -> int:
         return sum(1 for t in self.triangles if t.up)
@@ -227,7 +226,7 @@ def build_region(spec: ValidatedSpec) -> TriangularRegion:
         tris.remove(Triangle(s - 1, 0, True))
     for t in spec.D:
         tris.remove(Triangle(t - 1, -1, False))
-    region = TriangularRegion(frozenset(tris), frozenset(spec.B), L)
+    region = TriangularRegion(frozenset(tris), frozenset(spec.B))
     if region.up_count() != region.down_count():
         raise ExactnessError("region must be balanced")
     return region
@@ -241,22 +240,6 @@ def reflect_positions(S: Sequence[int], L: int) -> tuple[int, ...]:
             raise PositionOutOfRange(f"position {s} outside [1..{L}]")
         out.append(L + 1 - s)
     return tuple(sorted(out))
-
-
-def flip_spec(spec: ValidatedSpec) -> ValidatedSpec:
-    """Swap up and down dents (mirror through the axis). An involution."""
-    return make_spec(spec.x, spec.y, spec.D, spec.U, spec.B)
-
-
-def mirror_spec(spec: ValidatedSpec) -> ValidatedSpec:
-    """Left-right mirror: reflect U, D and B through the base midpoint."""
-    return make_spec(
-        spec.x,
-        spec.y,
-        reflect_positions(spec.U, spec.L),
-        reflect_positions(spec.D, spec.L),
-        reflect_positions(spec.B, spec.L),
-    )
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,7 @@ def test_corpus_short_of_size_exits_1(max_L, capsys):
 def test_public_api_names_resolve():
     for name in dentedhex.__all__:
         assert hasattr(dentedhex, name), name
+    assert len(set(dentedhex.__all__)) == len(dentedhex.__all__)
 
 
 def test_corpus_deterministic(capsys):

@@ -5,15 +5,15 @@ import pytest
 
 from dentedhex.engines import (RegionTooLarge, _count_bound, _dual_graph,
                                _hankel_det, count_axis, count_brute,
-                               enumerate_tilings, qcount_axis, qcount_brute,
-                               tiling_qweight)
+                               _right_tilt_exponent, enumerate_tilings,
+                               qcount_axis, qcount_brute)
 from dentedhex.exactnum import ExactnessError, QPoly
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
 from dentedhex.harness import engine_corpus, random_region_spec
 from dentedhex.theorems import crossing_subsets
 from dentedhex.lattice import (Triangle, TriangularRegion, build_region,
-                               flip_spec, lozenge_triangles, make_spec,
-                               mirror_spec, reflect_positions)
+                               lozenge_triangles, make_spec,
+                               reflect_positions)
 
 
 def test_count_anchors():
@@ -30,13 +30,19 @@ def test_pure_hexagons_match_box_counts():
             assert count_axis(make_spec(x, y)) == pp(x, y, y)
 
 
+def _tiling_exponent(tiling) -> int:
+    """The q-exponent of one tiling: its right-tilting lozenges' weights."""
+    return sum(_right_tilt_exponent(loz.b) for loz in tiling
+               if loz.kind == "R")
+
+
 def test_qcount_unit_hexagon():
     region = build_region(make_spec(1, 1))
     poly = qcount_brute(region)
     assert poly == QPoly.monomial(-1) + QPoly.monomial(1)
     # two tilings whose weights differ by a single power of q squared
     tilings = enumerate_tilings(region)
-    weights = sorted(tiling_qweight(t).min_exp() for t in tilings)
+    weights = sorted(_tiling_exponent(t) for t in tilings)
     assert weights == [-1, 1]
 
 
@@ -101,8 +107,13 @@ def test_mirror_symmetries():
     for _ in range(30):
         spec = random_region_spec(rng, max_L=8)
         c = count_axis(spec)
-        assert count_axis(flip_spec(spec)) == c
-        assert count_axis(mirror_spec(spec)) == c
+        # flip through the axis: swap up and down dents
+        assert count_axis(make_spec(spec.x, spec.y, spec.D, spec.U,
+                                    spec.B)) == c
+        # mirror left to right through the base midpoint
+        assert count_axis(make_spec(
+            spec.x, spec.y, *(reflect_positions(P, spec.L)
+                              for P in (spec.U, spec.D, spec.B)))) == c
 
 
 def test_barrier_monotone():
@@ -148,6 +159,8 @@ def test_enumerate_tilings():
     assert enumerate_tilings(region) == tilings
     empty = build_region(make_spec(0, 0))
     assert enumerate_tilings(empty) == [frozenset()]
+    for r in (region, empty):
+        assert enumerate_tilings(r, limit=0) == []
 
 
 def test_tiling_qweights_sum_to_generating_function():
@@ -157,13 +170,13 @@ def test_tiling_qweights_sum_to_generating_function():
         region = build_region(spec)
         total = QPoly.zero()
         for t in enumerate_tilings(region):
-            total = total + tiling_qweight(t)
+            total = total + QPoly.monomial(_tiling_exponent(t))
         assert total == qcount_brute(region)
 
 
 def _without(region, *tris):
     return TriangularRegion(region.triangles - set(tris),
-                            region.forbidden_vertical, region.L)
+                            region.forbidden_vertical)
 
 
 def test_count_brute_matches_tiling_walk():
@@ -253,10 +266,10 @@ def test_count_bound_covers_the_count():
 
 def test_qcount_brute_degenerate_regions():
     assert qcount_brute(build_region(make_spec(0, 0))) == QPoly.one()
-    odd = TriangularRegion(frozenset({Triangle(0, 0, True)}), frozenset(), 1)
+    odd = TriangularRegion(frozenset({Triangle(0, 0, True)}), frozenset())
     apart = TriangularRegion(frozenset({Triangle(0, 0, True),
                                         Triangle(5, 0, False)}),
-                             frozenset(), 7)
+                             frozenset())
     for region in (odd, apart):
         assert qcount_brute(region) == QPoly.zero()
         assert count_brute(region) == 0

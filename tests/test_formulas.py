@@ -13,14 +13,13 @@ from dentedhex.exactnum import ExactnessError, QPoly, QRatio
 from dentedhex.formulas import (ClusterStats, IncompatibleClusters,
                                 ShuffleInstance, asym_rhs, clp_q_dents,
                                 cluster_s_values, delta, delta_q,
-                                gen_shuffle_rhs, lambda_of, pp, pp_q,
-                                q_shift_exponent, q_shuffle_rhs, schur_ones,
-                                shuffle_rhs)
+                                gen_shuffle_rhs, pp, pp_q, q_shift_exponent,
+                                q_shuffle_rhs, schur_ones, shuffle_rhs)
 from dentedhex.harness import build_suite, random_shuffle_instance
 from dentedhex.lattice import (ClusterSpec, SpecError, build_region,
                                make_spec)
 
-q = QPoly.q()
+q = QPoly.monomial(1)
 
 
 def test_pp_values():
@@ -114,17 +113,29 @@ def test_clp_q_dents_matches_delta_q_quotient():
 
 def test_delta():
     assert delta((1, 3)) == 2
-    assert delta_q((1, 3)) == q ** 3 - q
+    assert delta_q((1, 3)) == QPoly.monomial(3) - q
     assert delta((5,)) == 1
     assert delta_q(()) == QPoly.one()
 
 
-def test_lambda_of():
-    assert lambda_of(tuple(range(1, 5))) == (1, 1, 1, 1)
-    assert lambda_of((2, 4, 5)) == (3, 3, 2)
-    assert lambda_of((7,)) == (7,)
-    with pytest.raises(ExactnessError):
-        lambda_of((3, 3))
+def test_schur_ones_hook_content():
+    # the Schur polynomial at a ones, s_lambda(1^a), is the product over
+    # the cells (i, j) of lambda of (a + j - i) / hook(i, j); lambda is
+    # read off the strict set S as lambda_i = s_(a+1-i) - (a+1-i)
+    rng = random.Random(38)
+    for _ in range(300):
+        L = rng.randint(1, 14)
+        a = rng.randint(0, L)
+        S = tuple(sorted(rng.sample(range(1, L + 1), a)))
+        lam = [S[a - i] - (a + 1 - i) for i in range(1, a + 1)]
+        cols = [sum(row >= j for row in lam)
+                for j in range(1, (lam[0] if lam else 0) + 1)]
+        want = Fraction(1)
+        for i, row in enumerate(lam, 1):
+            for j in range(1, row + 1):
+                hook = (row - j) + (cols[j - 1] - i) + 1
+                want *= Fraction(a + j - i, hook)
+        assert schur_ones(S) == want
 
 
 def test_schur_ones():
@@ -196,7 +207,8 @@ def test_q_shuffle_rhs_condensation_compatibility():
         if inst.x < 1 or inst.y < 1:
             continue
         blocked = set(inst.U) | set(inst.D) | set(inst.B)
-        free = [k for k in range(1, inst.L + 1) if k not in blocked]
+        free = [k for k in range(1, inst.spec_a().L + 1)
+                if k not in blocked]
         if len(free) < 2:
             continue
         a, b = free[0], free[-1]
@@ -320,7 +332,7 @@ def test_invariant_checks_survive_optimize_flag():
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
-         "from dentedhex.formulas import lambda_of; lambda_of((3, 3))"],
+         "from dentedhex.engines import _hankel_det; _hankel_det([0], 1)"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=60)
     assert proc.returncode != 0

@@ -7,7 +7,7 @@ from dentedhex.lattice import (BarrierOverlap, ClusterSpec, DuplicateEntry,
                                GeometryMismatch, NotSorted,
                                PositionOutOfRange, SpecError, TooManyBarriers,
                                Triangle, UP, build_region, clusters_to_spec,
-                               flip_spec, make_spec, spec_from_json_dict,
+                               make_spec, spec_from_json_dict,
                                reflect_positions)
 
 
@@ -126,17 +126,6 @@ def test_reflect_positions():
     assert reflect_positions(reflect_positions(S, 14), 14) == S
     with pytest.raises(PositionOutOfRange):
         reflect_positions((6,), 5)
-
-
-def test_flip_spec():
-    s = make_spec(1, 1, (1,), (2,))
-    f = flip_spec(s)
-    assert (f.U, f.D) == ((2,), (1,))
-    assert flip_spec(f) == s
-    demo = make_spec(4, 3, (2, 4, 5, 8, 11), (4, 9, 11, 12), (6, 13))
-    fd = flip_spec(demo)
-    assert fd.U == (4, 9, 11, 12) and fd.D == (2, 4, 5, 8, 11)
-    assert fd.B == (6, 13)
 
 
 def test_clusters_to_spec():
