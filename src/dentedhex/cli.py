@@ -15,7 +15,7 @@ import sys
 from .engines import (RegionTooLarge, count_axis, count_brute,
                       enumerate_tilings, qcount_axis, qcount_brute)
 from .formulas import ShuffleInstance, gen_shuffle_rhs, q_shuffle_rhs, shuffle_rhs
-from .harness import engine_corpus, run_suite, summarize
+from .harness import SUITE_NAMES, engine_corpus, run_suite, summarize
 from .lattice import (ClusterSpec, SpecError, build_region, make_spec,
                       spec_from_json_dict)
 from .render import render_region_svg, render_tiling_svg
@@ -227,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all",
-                   choices=("thm1", "thm2", "thm3", "kuo", "schur",
-                            "barrier", "asym", "all"))
+                   choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--max-L", type=_int_at_least(2), default=None,
                    dest="max_L")

@@ -7,8 +7,9 @@ triangles in sorted order; before step i every earlier triangle is
 covered, so a partial matching is known by the set of later triangles it
 already covers, and one dict (that set -> summed value) is all it keeps.
 It counts every tiling without visiting each one. They are the oracle:
-simple, and obviously faithful to the region. enumerate_tilings is the
-only per-tiling walk, for rendering.
+simple, and obviously faithful to the region; its edges come from
+lattice.LOZENGE_MATES. enumerate_tilings is the only per-tiling walk, for
+rendering: depth first over the same edges, on an explicit state stack.
 
 Both run one DP on plain ints, with the q-weights evaluated at q = 2^k:
 matching along an edge of weight w shifts a value left by k*w bits, and
@@ -98,8 +99,8 @@ from typing import Sequence
 
 from .exactnum import ExactnessError, QPoly, digit_width
 from .formulas import schur_ones
-from .lattice import (KIND_L, KIND_R, KIND_V, Lozenge, Tiling,
-                      TriangularRegion, Triangle, ValidatedSpec)
+from .lattice import (KIND_R, KIND_V, LOZENGE_MATES, Lozenge, Tiling,
+                      TriangularRegion, ValidatedSpec)
 
 BRUTE_LIMIT = 120
 
@@ -115,8 +116,8 @@ def _right_tilt_exponent(b: int) -> int:
 def _dual_graph(region: TriangularRegion):
     """Sorted triangle list plus, per triangle, its partner (index, weight).
 
-    Mates are looked up as plain (a, b, up) tuples, which hash and compare
-    as the Triangle they stand for.
+    An up triangle's mates come from LOZENGE_MATES, looked up as plain
+    (a, b, up) tuples, which hash and compare as the Triangle they stand for.
     """
     tris = sorted(region.triangles)
     index = {t: i for i, t in enumerate(tris)}
@@ -125,13 +126,12 @@ def _dual_graph(region: TriangularRegion):
     for i, (a, b, up) in enumerate(tris):
         if not up:
             continue
-        mates = [((a, b, False), _right_tilt_exponent(b)),  # R
-                 ((a - 1, b, False), 0)]                    # L
-        if not (b == 0 and a + 1 in barred):
-            mates.append(((a, b - 1, False), 0))            # V
-        for mate, w in mates:
-            j = index.get(mate)
+        for kind, da, db in LOZENGE_MATES:
+            if kind == KIND_V and b == 0 and a + 1 in barred:
+                continue
+            j = index.get((a + da, b + db, False))
             if j is not None:
+                w = _right_tilt_exponent(b) if kind == KIND_R else 0
                 partners[i].append((j, w))
                 partners[j].append((i, w))
     for ps in partners:
@@ -226,59 +226,38 @@ def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     return out
 
 
-def _classify(up: Triangle, down: Triangle) -> Lozenge:
-    if down.a == up.a and down.b == up.b:
-        return Lozenge(KIND_R, up.a, up.b)
-    if down.a == up.a - 1 and down.b == up.b:
-        return Lozenge(KIND_L, up.a, up.b)
-    if down.a == up.a and down.b == up.b - 1:
-        return Lozenge(KIND_V, up.a, up.b)
-    raise ValueError("triangles do not form a lozenge")
-
-
 def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
                       max_triangles: int | None = None) -> list[Tiling]:
     """All tilings in deterministic DFS order, truncated at limit."""
     m = _check_size(region, max_triangles)
-    if m == 0:
-        return [Tiling()][:limit]
     if m % 2:
         return []
     tris, partners = _dual_graph(region)
+    kind_of = {(da, db): kind for kind, da, db in LOZENGE_MATES}
+    moves = []  # per triangle, one (bits, lozenge) per partner
+    for i, (t, ps) in enumerate(zip(tris, partners)):
+        row = []
+        for j, _ in ps:
+            up, down = (t, tris[j]) if t.up else (tris[j], t)
+            loz = Lozenge(kind_of[down.a - up.a, down.b - up.b], up.a, up.b)
+            row.append((1 << i | 1 << j, loz))
+        moves.append(row[::-1])  # pushed last to first, popped in order
     full = (1 << m) - 1
-
-    def moves(covered: int):
-        """(bits, lozenge) for each way to match the lowest free triangle."""
-        rest = full & ~covered
-        i = (rest & -rest).bit_length() - 1
-        for j, _ in partners[i]:
-            if not covered >> j & 1:
-                a, b = tris[i], tris[j]
-                if not a.up:
-                    a, b = b, a
-                yield 1 << i | 1 << j, _classify(a, b)
-
     out: list[Tiling] = []
-    chosen: list[Lozenge] = []
-    taken: list[int] = []  # the bits of each chosen lozenge
-    covered = 0
-    stack = [moves(0)]  # an explicit stack: tilings can be m/2 deep
+    stack = [(0, None)]  # (covered, partial tiling as (lozenge, rest) pairs)
     while stack and (limit is None or len(out) < limit):
-        move = next(stack[-1], None)
-        if move is None:
-            stack.pop()
-            if taken:
-                covered ^= taken.pop()
-                chosen.pop()
+        covered, chain = stack.pop()
+        if covered == full:
+            lozenges = []
+            while chain:
+                loz, chain = chain
+                lozenges.append(loz)
+            out.append(Tiling(lozenges))
             continue
-        bits, loz = move
-        if covered | bits == full:
-            out.append(Tiling(chosen + [loz]))
-            continue
-        covered |= bits
-        taken.append(bits)
-        chosen.append(loz)
-        stack.append(moves(covered))
+        i = (~covered & covered + 1).bit_length() - 1  # lowest uncovered
+        for bits, loz in moves[i]:
+            if not covered & bits:
+                stack.append((covered | bits, (loz, chain)))
     return out
 
 

@@ -44,6 +44,11 @@ def demo_spec() -> ValidatedSpec:
 
 # --- random instances -------------------------------------------------------
 
+# Bounds no caller varies: random_shuffle_instance's height and occupied
+# positions, and engine_corpus's shape bounds besides max_L.
+SHUFFLE_MAX_Y, SHUFFLE_MAX_N = 3, 5
+CORPUS_BOUNDS = dict(max_y=2, max_u=2, max_d=2, max_b=1)
+
 
 def _random_dents(rng: random.Random, min_L: int, max_L: int, max_n: int):
     """A side length L and n <= max_n occupied positions on it, each an up
@@ -85,12 +90,12 @@ def random_region_spec(rng: random.Random, max_L: int = 8, max_y: int = 2,
 
 
 def random_shuffle_instance(rng: random.Random, max_L: int = 10,
-                            allow_flips: bool = True, max_b: int = 0,
-                            max_y: int = 3, max_n: int = 5) -> ShuffleInstance:
+                            allow_flips: bool = True,
+                            max_b: int = 0) -> ShuffleInstance:
     """A valid shuffle instance; flips reassign the symmetric difference."""
     while True:
-        L, n, union, U, D = _random_dents(rng, 2, max_L, max_n)
-        y = rng.randint(0, max_y)
+        L, n, union, U, D = _random_dents(rng, 2, max_L, SHUFFLE_MAX_N)
+        y = rng.randint(0, SHUFFLE_MAX_Y)
         x = L - n - y
         if x < 0:
             continue
@@ -112,14 +117,13 @@ def random_shuffle_instance(rng: random.Random, max_L: int = 10,
                                tuple(sorted(U2)), tuple(sorted(D2)), tuple(B))
 
 
-def engine_corpus(seed: int = 7, size: int = 300, max_L: int = 8,
-                  max_y: int = 2, max_u: int = 2, max_d: int = 2,
-                  max_b: int = 1) -> list[ValidatedSpec]:
+def engine_corpus(seed: int = 7, size: int = 300,
+                  max_L: int = 8) -> list[ValidatedSpec]:
     """The small-instance corpus for cross-engine validation.
 
     Deterministic in the seed. Starts from fixed anchors (degenerate
     regions and pure hexagons) and fills up with random dented specs,
-    deduplicated, all within the stated bounds. Raises ValueError when
+    deduplicated, all within max_L and CORPUS_BOUNDS. Raises ValueError when
     10 * size random draws leave it short, as when the bounds admit fewer
     than size distinct specs.
     """
@@ -137,7 +141,7 @@ def engine_corpus(seed: int = 7, size: int = 300, max_L: int = 8,
     push(make_spec(1, 0))
     push(make_spec(0, 1))
     for x in range(1, max_L + 1):
-        for y in range(1, max_y + 1):
+        for y in range(1, CORPUS_BOUNDS["max_y"] + 1):
             if x + y <= max_L:
                 push(make_spec(x, y))
     max_draws = 10 * size  # the seed-7 size-300 corpus takes 418
@@ -147,8 +151,7 @@ def engine_corpus(seed: int = 7, size: int = 300, max_L: int = 8,
             raise ValueError(f"corpus: {len(specs)} distinct specs after "
                              f"{draws} draws, {size - len(specs)} short of "
                              f"size {size}; raise max_L or lower size")
-        push(random_region_spec(rng, max_L=max_L, max_y=max_y,
-                                max_u=max_u, max_d=max_d, max_b=max_b))
+        push(random_region_spec(rng, max_L=max_L, **CORPUS_BOUNDS))
         draws += 1
     return specs[:size]
 

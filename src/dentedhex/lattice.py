@@ -5,6 +5,9 @@ triangle up(a,b) has corners (a,b), (a+1,b), (a,b+1); the down triangle
 down(a,b) has corners (a+1,b), (a,b+1), (a+1,b+1). The counting axis is
 the horizontal lattice line between rows b=0 and b=-1, and base position
 k (1-based) is the unit segment from (k-1,0) to (k,0) on that axis.
+LOZENGE_MATES says which down neighbour each lozenge kind pairs up(a,b)
+with, counterclockwise: V down(a,b-1), R down(a,b), L down(a-1,b); around
+down(a,b) the same cycle reads L, V, R: up(a+1,b), up(a,b+1), up(a,b).
 
 A region spec (x, y, U, D, B) is a symmetric hexagon of base length
 L = x + y + n, where n = |U union D|, with the up triangles up(s-1,0)
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import ExactnessError
 
@@ -63,11 +66,12 @@ class GeometryMismatch(SpecError):
 UP = "up"
 DOWN = "down"
 
-# Lozenge kinds: R pairs up(a,b) with down(a,b), L pairs up(a,b) with
-# down(a-1,b), V pairs up(a,b) with down(a,b-1).
 KIND_R = "R"
 KIND_L = "L"
 KIND_V = "V"
+
+# (kind, da, db): up(a,b) pairs with down(a+da, b+db)
+LOZENGE_MATES = ((KIND_V, 0, -1), (KIND_R, 0, 0), (KIND_L, -1, 0))
 
 
 class Triangle(NamedTuple):
@@ -84,13 +88,10 @@ class Lozenge(NamedTuple):
 
 def lozenge_triangles(loz: Lozenge) -> tuple[Triangle, Triangle]:
     """The two unit triangles covered by a lozenge, anchored at its up triangle."""
-    up = Triangle(loz.a, loz.b, True)
-    if loz.kind == KIND_R:
-        return up, Triangle(loz.a, loz.b, False)
-    if loz.kind == KIND_L:
-        return up, Triangle(loz.a - 1, loz.b, False)
-    if loz.kind == KIND_V:
-        return up, Triangle(loz.a, loz.b - 1, False)
+    for kind, da, db in LOZENGE_MATES:
+        if kind == loz.kind:
+            return (Triangle(loz.a, loz.b, True),
+                    Triangle(loz.a + da, loz.b + db, False))
     raise ValueError(f"unknown lozenge kind {loz.kind!r}")
 
 
@@ -208,6 +209,12 @@ class TriangularRegion:
         return sum(1 for t in self.triangles if not t.up)
 
 
+def dent_triangles(spec: ValidatedSpec) -> Iterator[Triangle]:
+    """Removed triangles: up(s-1,0) for s in U, then down(t-1,-1) for t in D."""
+    yield from (Triangle(s - 1, 0, True) for s in spec.U)
+    yield from (Triangle(t - 1, -1, False) for t in spec.D)
+
+
 def build_region(spec: ValidatedSpec) -> TriangularRegion:
     """Materialize the triangle set of a validated spec."""
     L = spec.L
@@ -222,10 +229,7 @@ def build_region(spec: ValidatedSpec) -> TriangularRegion:
             tris.add(Triangle(a, b, False))
         for a in range(-b, L):
             tris.add(Triangle(a, b, True))
-    for s in spec.U:
-        tris.remove(Triangle(s - 1, 0, True))
-    for t in spec.D:
-        tris.remove(Triangle(t - 1, -1, False))
+    tris.difference_update(dent_triangles(spec))
     region = TriangularRegion(frozenset(tris), frozenset(spec.B))
     if region.up_count() != region.down_count():
         raise ExactnessError("region must be balanced")

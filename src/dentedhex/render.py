@@ -12,7 +12,8 @@ import math
 from typing import Iterable
 
 from .lattice import (KIND_L, KIND_R, KIND_V, Tiling, Triangle,
-                      ValidatedSpec, build_region, lozenge_triangles)
+                      ValidatedSpec, build_region, dent_triangles,
+                      lozenge_triangles)
 
 _SQRT3_2 = math.sqrt(3) / 2
 
@@ -86,12 +87,9 @@ class _Canvas:
 
 
 def _draw_obstacles(cv: _Canvas, spec: ValidatedSpec):
-    for s in spec.U:
-        cv.polygon(_tri_corners(Triangle(s - 1, 0, True)), _DENT_FILL,
-                   "dent up", stroke="#222")
-    for t in spec.D:
-        cv.polygon(_tri_corners(Triangle(t - 1, -1, False)), _DENT_FILL,
-                   "dent down", stroke="#222")
+    for t in dent_triangles(spec):
+        cv.polygon(_tri_corners(t), _DENT_FILL,
+                   f"dent {'up' if t.up else 'down'}", stroke="#222")
     for k in spec.B:
         cv.line(_xy(k - 1, 0), _xy(k, 0), _BARRIER_STROKE, "barrier", 0.14)
 
@@ -112,17 +110,14 @@ def render_tiling_svg(spec: ValidatedSpec, tiling: Tiling,
     """One tiling: lozenges colored by kind over the dents and barriers."""
     cv = _Canvas(unit)
     for loz in sorted(tiling):
-        up, down = lozenge_triangles(loz)
-        if loz.kind == KIND_R:
-            pts = [(up.a, up.b), (up.a + 1, up.b), (up.a + 1, up.b + 1),
-                   (up.a, up.b + 1)]
-        elif loz.kind == KIND_L:
-            pts = [(up.a, up.b), (up.a + 1, up.b), (up.a, up.b + 1),
-                   (up.a - 1, up.b + 1)]
-        else:
-            pts = [(up.a, up.b), (up.a + 1, up.b - 1), (up.a + 1, up.b),
-                   (up.a, up.b + 1)]
-        cv.polygon([_xy(a, b) for a, b in pts], _LOZ_FILL[loz.kind],
-                   f"loz {loz.kind}", stroke="#333", width=0.045)
+        up, down = map(_tri_corners, lozenge_triangles(loz))
+        # the down triangle's far corner goes between the two shared
+        # corners, which follow the up triangle's own corner k
+        (far,) = (p for p in down if p not in up)
+        k = next(i for i, p in enumerate(up) if p not in down)
+        pts = up[:]
+        pts.insert((k + 1) % 3 + 1, far)
+        cv.polygon(pts, _LOZ_FILL[loz.kind], f"loz {loz.kind}", stroke="#333",
+                   width=0.045)
     _draw_obstacles(cv, spec)
     return cv.to_svg()

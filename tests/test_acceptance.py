@@ -31,8 +31,7 @@ def _criterion(n, desc, fn):
 
 def test_criterion_01_engine_equivalence():
     def run():
-        corpus = engine_corpus(seed=SEED, size=300, max_L=8, max_y=2,
-                               max_u=2, max_d=2, max_b=1)
+        corpus = engine_corpus(seed=SEED, size=300, max_L=8)
         assert len(corpus) == 300
         for spec in corpus:
             region = build_region(spec)

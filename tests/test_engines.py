@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -9,7 +10,7 @@ from dentedhex.engines import (RegionTooLarge, _count_bound, _dual_graph,
                                qcount_axis, qcount_brute)
 from dentedhex.exactnum import ExactnessError, QPoly
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
-from dentedhex.harness import engine_corpus, random_region_spec
+from dentedhex.harness import demo_spec, engine_corpus, random_region_spec
 from dentedhex.theorems import crossing_subsets
 from dentedhex.lattice import (Triangle, TriangularRegion, build_region,
                                lozenge_triangles, make_spec,
@@ -161,6 +162,44 @@ def test_enumerate_tilings():
     assert enumerate_tilings(empty) == [frozenset()]
     for r in (region, empty):
         assert enumerate_tilings(r, limit=0) == []
+
+
+def _sha256(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def test_tiling_order_is_pinned():
+    # every tiling, in walk order, of 300 seeded regions (80,856 tilings);
+    # the digest was recorded from the generator-stack walk
+    rng = random.Random(5)
+    specs = [random_region_spec(rng, max_L=7, max_y=3, max_u=2, max_d=2,
+                                max_b=2) for _ in range(300)]
+    digest = _sha256(
+        [sorted(t) for t in enumerate_tilings(build_region(s),
+                                              max_triangles=200)]
+        for s in specs)
+    assert digest == ("bb31d66bd3ba904757fb218b345c5b1c"
+                      "b3402504293fdf934f85d87febdd3d39")
+
+
+def test_dual_graph_is_pinned():
+    # triangles, partner indices and weights, recorded before the mates
+    # came from lattice.LOZENGE_MATES
+    corpus = [build_region(s) for s in engine_corpus(seed=7, size=300)]
+    assert _sha256(map(_dual_graph, corpus)) == (
+        "f53d70c892a4a80cc7161b679ce5cb0cd79a8e3e87575decba11492301df92fb")
+    rng = random.Random(11)
+    barred = [build_region(s) for s in [demo_spec()] + [
+        random_region_spec(rng, max_L=9, max_y=3, max_u=3, max_d=3, max_b=3)
+        for _ in range(100)]]
+    # the barriers remove vertical edges from some of these graphs
+    assert any(_dual_graph(r) != _dual_graph(
+        TriangularRegion(r.triangles, frozenset())) for r in barred)
+    assert _sha256(map(_dual_graph, barred)) == (
+        "cb641cc212d8355de71e4bb46479ecdb814ade90c076a7e267314337cb820c46")
 
 
 def test_tiling_qweights_sum_to_generating_function():

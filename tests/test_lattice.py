@@ -3,12 +3,13 @@ import random
 import pytest
 
 from dentedhex.harness import random_region_spec
-from dentedhex.lattice import (BarrierOverlap, ClusterSpec, DuplicateEntry,
-                               GeometryMismatch, NotSorted,
-                               PositionOutOfRange, SpecError, TooManyBarriers,
-                               Triangle, UP, build_region, clusters_to_spec,
-                               make_spec, spec_from_json_dict,
-                               reflect_positions)
+from dentedhex.lattice import (LOZENGE_MATES, BarrierOverlap, ClusterSpec,
+                               DuplicateEntry, GeometryMismatch, Lozenge,
+                               NotSorted, PositionOutOfRange, SpecError,
+                               TooManyBarriers, Triangle, UP, build_region,
+                               clusters_to_spec, dent_triangles,
+                               lozenge_triangles, make_spec,
+                               spec_from_json_dict, reflect_positions)
 
 
 def test_validate_demo_instance():
@@ -96,6 +97,38 @@ def test_flat_region_with_dents():
     assert upper_downs == {Triangle(0, 0, False), Triangle(1, 0, False)}
     lower_downs = {t for t in region.triangles if not t.up and t.b == -1}
     assert lower_downs == {Triangle(0, -1, False), Triangle(2, -1, False)}
+
+
+def _corners(t: Triangle) -> set:
+    """Oblique-basis corners, as the lattice module docstring gives them."""
+    if t.up:
+        return {(t.a, t.b), (t.a + 1, t.b), (t.a, t.b + 1)}
+    return {(t.a + 1, t.b), (t.a, t.b + 1), (t.a + 1, t.b + 1)}
+
+
+def test_lozenge_mates_are_the_neighbours_counterclockwise():
+    up = Triangle(2, -1, True)
+    sides = []
+    for kind, da, db in LOZENGE_MATES:
+        got_up, down = lozenge_triangles(Lozenge(kind, up.a, up.b))
+        assert (got_up, down) == (up, Triangle(up.a + da, up.b + db, False))
+        sides.append(_corners(up) & _corners(down))
+    # the bottom side, the right side, the left side
+    assert sides == [{(2, -1), (3, -1)}, {(3, -1), (2, 0)}, {(2, 0), (2, -1)}]
+    with pytest.raises(ValueError):
+        lozenge_triangles(Lozenge("X", 0, 0))
+
+
+def test_dent_triangles():
+    spec = make_spec(1, 0, (1,), (2,))
+    assert list(dent_triangles(spec)) == [Triangle(0, 0, True),
+                                          Triangle(1, -1, False)]
+    rng = random.Random(22)
+    for _ in range(20):
+        spec = random_region_spec(rng, max_L=8)
+        dents = list(dent_triangles(spec))
+        assert len(dents) == len(spec.U) + len(spec.D)
+        assert build_region(spec).triangles.isdisjoint(dents)
 
 
 def test_build_region_balanced_and_rows():

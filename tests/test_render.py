@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 from dentedhex.engines import enumerate_tilings
@@ -43,3 +44,20 @@ def test_svg_scales_with_unit():
     w_small = float(ET.fromstring(small).get("width"))
     w_big = float(ET.fromstring(big).get("width"))
     assert abs(w_big - 4 * w_small) < 1e-6
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_svg_bytes_are_pinned():
+    # recorded from the hand-written lozenge outlines and dent loops
+    assert _sha256(render_region_svg(demo_spec())) == (
+        "87270fcdd9012665209967c9d655d2b81ec8ea260b7111dd1c9a60fa26491731")
+    spec = make_spec(2, 2, (1,), (3,))
+    region = build_region(spec)
+    tilings = enumerate_tilings(region)
+    assert (len(tilings), len(region.triangles)) == (162, 52)
+    svgs = "".join(render_tiling_svg(spec, t) for t in tilings)
+    assert _sha256(svgs) == (
+        "176510f43668dac9a5396b786ab8ff7aaf8c9b09c2145c2be803f3eb295b4735")
