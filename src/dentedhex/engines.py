@@ -3,13 +3,15 @@
 count_brute / qcount_brute sum over the perfect matchings of the region's
 dual graph (vertices = unit triangles, edges = shared sides honoring the
 forbidden crossing positions). A forward transfer-matrix DP walks the
-triangles in sorted order; before step i every earlier triangle is
-covered, so a partial matching is known by the set of later triangles it
-already covers, and one dict (that set -> summed value) is all it keeps.
-It counts every tiling without visiting each one. They are the oracle:
-simple, and obviously faithful to the region; its edges come from
-lattice.LOZENGE_MATES. enumerate_tilings is the only per-tiling walk, for
-rendering: depth first over the same edges, on an explicit state stack.
+triangles in sweep order (_sweep: column by column, each from the top);
+before step i every earlier triangle is covered, so a partial matching
+is known by the set of later triangles it already covers, and one dict
+(that set -> summed value) is all it keeps. It counts every tiling
+without visiting each one. They are the oracle: simple, and obviously
+faithful to the region; its edges come from lattice.LOZENGE_MATES.
+enumerate_tilings is the only per-tiling walk, for rendering: depth
+first over the same edges, on an explicit state stack, in sorted
+(a, b, up) order, which fixes the order of the tilings it lists.
 
 Both run one DP on plain ints, with the q-weights evaluated at q = 2^k:
 matching along an edge of weight w shifts a value left by k*w bits, and
@@ -24,13 +26,15 @@ counting pass. A digit that overflowed would read back negative, which
 raises ExactnessError.
 
 The DP's memory follows its largest single layer, not every state it
-ever reaches, and the layer width depends on the region's height more
-than on its size: the flat make_spec(300, 2) (2,408 triangles) peaks at
-10 states, the tall make_spec(2, 12) (384 triangles) at 1,105 and
-make_spec(8, 8) (384 triangles) at 22,308. make_spec(8, 8) counts in
-about 0.8 s and 20 MB of peak RSS, make_spec(10, 10) in about 27 s and
-77 MB. The q-count of make_spec(8, 8), packed in 20-byte digits, takes
-about 4.4 s and 242 MB (Python 3.11, one core of a 2-vCPU machine).
+ever reaches. In sweep order a hexagon make_spec(x, y) with x <= y + 1
+peaks at C(x + y, x) states: which x of the x + y crossings of one
+lattice line its paths use. The flat make_spec(300, 2) (2,408 triangles)
+peaks at 10 states, the tall make_spec(2, 12) (384 triangles) at 91 and
+make_spec(8, 8) (384 triangles) at 12,870; sorted (a, b, up) order
+would keep 10, 1,105 and 22,308. make_spec(8, 8) counts in about 0.65 s
+and 19 MB of peak RSS, make_spec(10, 10) in about 23 s and 68 MB. The
+q-count of make_spec(8, 8), packed in 20-byte digits, takes about 3 s
+and 160 MB (Python 3.11, one core of a 2-vCPU machine).
 BRUTE_LIMIT stays at 120 triangles all the same: it also guards
 enumerate_tilings, which is exponential, and the CLI tests rely on it to
 refuse rendering a tiling of the 298-triangle demo region. Callers that
@@ -100,7 +104,7 @@ from typing import Sequence
 from .exactnum import ExactnessError, QPoly, digit_width
 from .formulas import schur_ones
 from .lattice import (KIND_R, KIND_V, LOZENGE_MATES, Lozenge, Tiling,
-                      TriangularRegion, ValidatedSpec)
+                      Triangle, TriangularRegion, ValidatedSpec)
 
 BRUTE_LIMIT = 120
 
@@ -113,13 +117,20 @@ def _right_tilt_exponent(b: int) -> int:
     return b + 1 if b >= 0 else b
 
 
-def _dual_graph(region: TriangularRegion):
-    """Sorted triangle list plus, per triangle, its partner (index, weight).
+def _sweep(t: Triangle):
+    """Sort key: column a ascending, its top row first, in each cell up
+    before down. The DP's frontier then follows one lattice line."""
+    return t.a, -t.b, not t.up
+
+
+def _dual_graph(region: TriangularRegion, key=None):
+    """Triangle list sorted by key plus, per triangle, its partner
+    (index, weight).
 
     An up triangle's mates come from LOZENGE_MATES, looked up as plain
     (a, b, up) tuples, which hash and compare as the Triangle they stand for.
     """
-    tris = sorted(region.triangles)
+    tris = sorted(region.triangles, key=key)
     index = {t: i for i, t in enumerate(tris)}
     partners: list[list[tuple[int, int]]] = [[] for _ in tris]
     barred = region.forbidden_vertical
@@ -191,7 +202,7 @@ def _matching_sum(tris, partners, k: int) -> tuple[int, int]:
 def count_brute(region: TriangularRegion, limit: int | None = None) -> int:
     """Number of perfect matchings of the dual graph; empty region -> 1."""
     _check_size(region, limit)
-    return _matching_sum(*_dual_graph(region), 0)[0]
+    return _matching_sum(*_dual_graph(region, _sweep), 0)[0]
 
 
 def _count_bound(tris, partners) -> int:
@@ -216,7 +227,7 @@ def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     back negative.
     """
     _check_size(region, limit)
-    tris, partners = _dual_graph(region)
+    tris, partners = _dual_graph(region, _sweep)
     width = digit_width(_count_bound(tris, partners))
     n, low = _matching_sum(tris, partners, 8 * width)
     out = QPoly.from_packed(n, width, low)

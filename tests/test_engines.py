@@ -1,11 +1,13 @@
 import hashlib
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
+from dentedhex import engines
 from dentedhex.engines import (RegionTooLarge, _count_bound, _dual_graph,
-                               _hankel_det, count_axis, count_brute,
+                               _hankel_det, _sweep, count_axis, count_brute,
                                _right_tilt_exponent, enumerate_tilings,
                                qcount_axis, qcount_brute)
 from dentedhex.exactnum import ExactnessError, QPoly
@@ -261,9 +263,12 @@ def test_oracle_survives_deep_regions():
 
 
 def test_oracle_reaches_tall_hexagons():
-    # 294 triangles with a frontier as tall as the hexagon
-    region = build_region(make_spec(7, 7))
-    assert count_brute(region, limit=294) == pp(7, 7, 7)
+    # 294 to 384 triangles; the column sweep narrows hex(2,12) and
+    # hex(3,10) the most (hex(2,12)'s widest layer from 1,105 to 91)
+    for x, y in [(7, 7), (2, 12), (3, 10)]:
+        region = build_region(make_spec(x, y))
+        m = len(region.triangles)
+        assert count_brute(region, limit=m) == pp(x, y, y)
 
 
 def test_oracle_matches_axis_beyond_default_budget():
@@ -272,9 +277,48 @@ def test_oracle_matches_axis_beyond_default_budget():
     assert len(region.triangles) == 298
     assert count_brute(region, limit=298) == count_axis(demo)
     assert count_axis(demo) == 28693855097460
+    # barriers and shared dents, under the q-weights
+    assert qcount_brute(region, limit=298) == qcount_axis(demo)
     hexagon = make_spec(5, 5)
     region = build_region(hexagon)
     assert qcount_brute(region, limit=150) == qcount_axis(hexagon)
+
+
+def _widest_layer(tris, partners):
+    """The most states any layer of engines._matching_sum holds: its
+    transitions, with the values dropped."""
+    layer, widest = {0}, 1
+    for i, ps in enumerate(partners):
+        bits = [1 << j - i for j, _ in ps if j > i]
+        nxt = set()
+        for state in layer:
+            if state & 1:
+                nxt.add(state >> 1)
+                continue
+            nxt.update((state | bit) >> 1 for bit in bits if not state & bit)
+        layer = nxt
+        widest = max(widest, len(layer))
+    return widest
+
+
+def test_sweep_keeps_the_frontier_to_one_cut(monkeypatch):
+    # both oracles run their DP in the sweep order
+    walked = []
+    monkeypatch.setattr(engines, "_matching_sum",
+                        lambda tris, partners, k: walked.append(tris) or (1, 0))
+    region = build_region(make_spec(2, 2))
+    count_brute(region)
+    qcount_brute(region)
+    assert walked == [sorted(region.triangles, key=_sweep)] * 2
+    # cut hex(x, y) along a lattice line and the two sides share only which
+    # x of the x + y crossing positions the paths use; the sorted order
+    # (a, b, up) keeps 260, 406, 120, 434, 1,596 and 5,940 states here
+    for x, y in [(2, 7), (3, 6), (4, 4), (5, 5), (6, 6), (7, 7)]:
+        region = build_region(make_spec(x, y))
+        assert _widest_layer(*_dual_graph(region, _sweep)) == comb(x + y, x)
+    # barriers and shared dents; the sorted order keeps 5,299
+    region = build_region(demo_spec())
+    assert _widest_layer(*_dual_graph(region, _sweep)) <= 1904
 
 
 def test_packed_q_oracle_matches_axis():
