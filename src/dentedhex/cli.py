@@ -102,8 +102,8 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suite(args.suite, seed=args.seed, max_L=args.max_L,
-                        count=args.count, jobs=args.jobs)
+    reports = run_suite(args.suite, seed=args.seed, count=args.count,
+                        jobs=args.jobs)
     for r in reports:
         print(r.json_line())
     s = summarize(reports)
@@ -229,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-L", type=_int_at_least(2), default=None,
-                   dest="max_L")
     p.add_argument("--count", type=_int_at_least(1), default=None,
                    help="override the per-suite instance count")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)

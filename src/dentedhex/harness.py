@@ -4,22 +4,31 @@ Suites turn a seed into a fixed list of check tasks, run them (optionally
 on a process pool) and emit one JSON line per report plus a summary line.
 Task lists and report bytes are independent of the worker count: tasks are
 built up front in a fixed order and results are collected in submission
-order, so --jobs only changes the wall clock.
+order, so --jobs only changes the wall clock. The pool gets no more
+workers than there are tasks and CPUs.
 
-Each check task is one row of _CHECKS: a theorems check and a function
-that reads its arguments from the task's payload. Each negative control is
-one row of _CONTROLS: a theorems check, run on a witness instance once
-with its validated prediction and once with a wrong one passed as rhs.
-The control report passes when the first passes and the second fails.
+Each drawn suite is one row of _SUITES: its default count, a seeded draw,
+a payload function that rejects unusable draws, the check kinds run on
+each kept draw, its negative controls and any fixed leading tasks.
+build_suite runs one loop over a row; asym, three fixed tables sized by
+the count, comes from _asym_tasks. Each negative control is one row of
+_CONTROLS: a theorems check, run on a witness instance once with its
+validated prediction and once with a wrong one passed as rhs, and the
+witness itself, the first kept draw that satisfies the row's predicate or
+else the row's fallback. The control report passes when the first run
+passes and the second fails. run_task is one lookup in _RUN, task kind ->
+run on the payload.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 from .formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
                        _q_shuffle_rhs_alt_shift, _q_shuffle_rhs_integer_gap,
@@ -192,194 +201,177 @@ def _run_asym(p: dict) -> CheckReport:
     else:
         raise ValueError(f"unknown expectation {expect!r}")
     lhs = ";".join(f"N={r.N}:{r.ratio}" for r in table.rows)
-    report = CheckReport(f"asym_{expect}", p, lhs, f"limit={table.limit}",
-                         passed, time.perf_counter() - t0)
-    return report
+    return CheckReport(f"asym_{expect}", p, lhs, f"limit={table.limit}",
+                       passed, time.perf_counter() - t0)
 
 
-def _inst_arg(p: dict) -> tuple:
-    return (_inst_from_payload(p),)
+class _Control(NamedTuple):
+    check: str  # theorems check, by name so it resolves when run
+    wrong: Callable  # the wrong prediction, passed as rhs
+    name: str  # report name
+    good_label: str  # label of the validated verdict
+    bad_label: str  # label of the wrong verdict
+    witness: Callable[[ShuffleInstance], bool]  # where the two differ
+    fallback: dict  # the witness when no drawn instance is one
 
 
-def _spec_arg(p: dict) -> tuple:
-    return (_spec_from_payload(p),)
+# A witness where both the box factor (sizes 2x2) and the size
+# normalization (nonzero) of a wrong prediction differ from the validated one.
+_PP_WITNESS = dict(x=2, y=1, U=[1, 2, 3], D=[4], U2=[1, 2], D2=[3, 4], B=[])
 
-
-def _barrier_args(p: dict) -> tuple:
-    return (_inst_from_payload(p), p["barrier_sets"])
-
-
-# task kind -> (theorems check, by name so it resolves through the module
-# when run; its arguments, read from the payload)
-_CHECKS: dict[str, tuple[str, Callable[[dict], tuple]]] = {
-    "thm1": ("check_thm1", _inst_arg),
-    "pair_product": ("check_pair_product", _inst_arg),
-    "thm2": ("check_thm2", _inst_arg),
-    "thm3": ("check_thm3", _inst_arg),
-    "kuo": ("check_kuo", _spec_arg),
-    "schur": ("check_schur_sum", _spec_arg),
-    "barrier": ("check_barrier_independence", _barrier_args),
-}
-
-# task kind -> (theorems check, by name so it resolves through the module
-# when run; wrong prediction; report name; labels of the validated and the
-# wrong verdict)
-_CONTROLS: dict[str, tuple[str, Callable, str, str, str]] = {
-    "thm2_pp_control": ("check_thm2", _gen_shuffle_rhs_collapsed_pp,
-                        "thm2_collapsed_pp_control", "honest", "collapsed"),
-    "thm3_shift_control": ("check_thm3", _q_shuffle_rhs_alt_shift,
-                           "thm3_alt_shift_control", "validated shift",
-                           "alt shift"),
-    "thm3_gap_control": ("check_thm3", _q_shuffle_rhs_integer_gap,
-                         "thm3_integer_gap_control", "q-gap factor",
-                         "integer gap factor"),
+_CONTROLS: dict[str, _Control] = {
+    "thm2_pp_control": _Control(
+        "check_thm2", _gen_shuffle_rhs_collapsed_pp,
+        "thm2_collapsed_pp_control", "honest", "collapsed",
+        lambda i: pp(i.sizes[2] * i.sizes[3], i.y, 1)
+        != pp(i.sizes[2], i.sizes[3], i.y),
+        _PP_WITNESS),
+    "thm3_shift_control": _Control(
+        "check_thm3", _q_shuffle_rhs_alt_shift, "thm3_alt_shift_control",
+        "validated shift", "alt shift",
+        lambda i: _size_normalization(i) != 0, _PP_WITNESS),
+    "thm3_gap_control": _Control(
+        "check_thm3", _q_shuffle_rhs_integer_gap, "thm3_integer_gap_control",
+        "q-gap factor", "integer gap factor", lambda i: len(i.D) >= 2,
+        dict(x=2, y=1, U=[1, 4], D=[2, 3], U2=[1, 2], D2=[3, 4], B=[])),
 }
 
 
-def _run_control(kind: str, p: dict) -> CheckReport:
+def _run_control(c: _Control, p: dict) -> CheckReport:
     t0 = time.perf_counter()
-    check_name, wrong, name, good_label, bad_label = _CONTROLS[kind]
-    check = getattr(theorems, check_name)
+    check = getattr(theorems, c.check)
     inst = _inst_from_payload(p)
     good = check(inst).passed
-    bad = check(inst, rhs=wrong).passed
-    return CheckReport(name, inst.to_json_dict(), f"{good_label}: {good}",
-                       f"{bad_label}: {bad}", good and not bad,
+    bad = check(inst, rhs=c.wrong).passed
+    return CheckReport(c.name, inst.to_json_dict(), f"{c.good_label}: {good}",
+                       f"{c.bad_label}: {bad}", good and not bad,
                        time.perf_counter() - t0)
+
+
+# task kind -> its run on the payload; each check is looked up in theorems
+# when it runs, so a rebound module attribute is seen
+_RUN: dict[str, Callable[[dict], CheckReport]] = {
+    "thm1": lambda p: theorems.check_thm1(_inst_from_payload(p)),
+    "pair_product": lambda p: theorems.check_pair_product(
+        _inst_from_payload(p)),
+    "thm2": lambda p: theorems.check_thm2(_inst_from_payload(p)),
+    "thm3": lambda p: theorems.check_thm3(_inst_from_payload(p)),
+    "kuo": lambda p: theorems.check_kuo(_spec_from_payload(p)),
+    "schur": lambda p: theorems.check_schur_sum(_spec_from_payload(p)),
+    "barrier": lambda p: theorems.check_barrier_independence(
+        _inst_from_payload(p), p["barrier_sets"]),
+    "asym": _run_asym,
+    **{kind: partial(_run_control, c) for kind, c in _CONTROLS.items()},
+}
 
 
 def run_task(task: Task) -> CheckReport:
     kind, payload = task
-    if kind in _CONTROLS:
-        return _run_control(kind, payload)
-    if kind == "asym":
-        return _run_asym(payload)
-    check_name, read_args = _CHECKS[kind]
-    return getattr(theorems, check_name)(*read_args(payload))
+    return _RUN[kind](payload)
 
 
-# Witness instances where the negative-control variants demonstrably differ
-# from the validated formulas (sizes 2x2 for the box factor, d >= 2 for the
-# gap factor, nonzero size normalization for the q-power).
-_PP_WITNESS = dict(x=2, y=1, U=[1, 2, 3], D=[4], U2=[1, 2], D2=[3, 4], B=[])
-_GAP_WITNESS = dict(x=2, y=1, U=[1, 4], D=[2, 3], U2=[1, 2], D2=[3, 4], B=[])
+class _Suite(NamedTuple):
+    count: int  # draws kept when no count is given
+    draw: Callable[[random.Random], object]  # one instance or region spec
+    payload: Callable[[object], dict | None]  # a draw's payload, None: reject
+    kinds: tuple[str, ...]  # one task of each kind per kept draw
+    controls: tuple[str, ...] = ()  # _CONTROLS kinds, after the draws
+    fixed: tuple[Task, ...] = ()  # tasks ahead of the draws
 
 
-def _first_payload(insts: Iterable[ShuffleInstance],
-                   pred: Callable[[ShuffleInstance], bool],
-                   fallback: dict) -> dict:
-    for inst in insts:
-        if pred(inst):
-            return inst.to_json_dict()
-    return fallback
+def _kuo_payload(spec: ValidatedSpec) -> dict | None:
+    # the x - 1 regions must still hold the barriers, and alpha != beta
+    if len(spec.B) >= spec.x or len(spec.free) < 2:
+        return None
+    return spec.to_json_dict()
 
 
-def build_suite(name: str, seed: int = 7, max_L: int | None = None,
+def _barrier_payload(inst: ShuffleInstance) -> dict | None:
+    free = list(inst.spec_a().free)
+    if inst.x < 2 or len(free) < 2:
+        return None
+    return dict(inst.to_json_dict(), barrier_sets=[[], [free[0]], free[:2]])
+
+
+# The demo region's dents against their flip of the up dent at 2 to a down
+# dent, under none, one and both of the demo's barriers.
+_DEMO_BARRIER = dict(DEMO_SPEC_JSON, B=[], U2=[4, 5, 8, 11],
+                     D2=[2, 4, 9, 11, 12], barrier_sets=[[], [6], [6, 13]])
+
+_SUITES: dict[str, _Suite] = {
+    "thm1": _Suite(100, partial(random_shuffle_instance, max_L=10,
+                                allow_flips=False),
+                   ShuffleInstance.to_json_dict, ("thm1", "pair_product")),
+    "thm2": _Suite(100, partial(random_shuffle_instance, max_L=10, max_b=2),
+                   ShuffleInstance.to_json_dict, ("thm2",),
+                   ("thm2_pp_control",)),
+    "thm3": _Suite(50, partial(random_shuffle_instance, max_L=10, max_b=1),
+                   ShuffleInstance.to_json_dict, ("thm3",),
+                   ("thm3_shift_control", "thm3_gap_control")),
+    "kuo": _Suite(20, partial(random_region_spec, max_L=10, max_y=3, max_u=3,
+                              max_d=3, max_b=1, min_x=1, min_y=1),
+                  _kuo_payload, ("kuo",)),
+    "schur": _Suite(30, partial(random_region_spec, max_L=8, max_y=2,
+                                max_u=2, max_d=2, max_b=0),
+                    ValidatedSpec.to_json_dict, ("schur",)),
+    "barrier": _Suite(2, partial(random_shuffle_instance, max_L=9, max_b=0),
+                      _barrier_payload, ("barrier",),
+                      fixed=(("barrier", _DEMO_BARRIER),)),
+}
+
+
+def _asym_tasks(count: int | None) -> list[Task]:
+    # strict_decay compares the last row with the first, so a table of
+    # one row would fail it whatever the counts: build at least two
+    n_max = max(2, count or 6)
+    udu, uud = ["up", "down", "up"], ["up", "up", "down"]
+    tables = (([[udu, ["down"]], [2]], [[uud, ["down"]], [2]], "strict_decay"),
+              ([[udu, ["down"]], [2]], [[udu, ["down"]], [2]], "all_zero"),
+              ([[[], udu, []], [1, 1]], [[[], uud, []], [1, 1]],
+               "rows_equal_limit"))
+    return [("asym", dict(clusters=c, clusters2=c2, x=1, y=1, n_max=n_max,
+                          expect=expect)) for c, c2, expect in tables]
+
+
+def build_suite(name: str, seed: int = 7,
                 count: int | None = None) -> list[Task]:
-    """The deterministic task list for one suite."""
-    rng = random.Random(f"{seed}:{name}")
-    tasks: list[Task] = []
-    if name == "thm1":
-        L = max_L or 10
-        m = count or 100
-        for _ in range(m):
-            inst = random_shuffle_instance(rng, max_L=L, allow_flips=False)
-            tasks.append(("thm1", inst.to_json_dict()))
-            tasks.append(("pair_product", inst.to_json_dict()))
-    elif name == "thm2":
-        L = max_L or 10
-        m = count or 100
-        insts = [random_shuffle_instance(rng, max_L=L, allow_flips=True,
-                                         max_b=2) for _ in range(m)]
-        for inst in insts:
-            tasks.append(("thm2", inst.to_json_dict()))
-        witness = _first_payload(
-            insts,
-            lambda i: pp(i.sizes[2] * i.sizes[3], i.y, 1)
-            != pp(i.sizes[2], i.sizes[3], i.y),
-            _PP_WITNESS)
-        tasks.append(("thm2_pp_control", witness))
-    elif name == "thm3":
-        L = max_L or 10
-        m = count or 50
-        insts = [random_shuffle_instance(rng, max_L=L, allow_flips=True,
-                                         max_b=1) for _ in range(m)]
-        for inst in insts:
-            tasks.append(("thm3", inst.to_json_dict()))
-        shift_witness = _first_payload(
-            insts, lambda i: _size_normalization(i) != 0, _PP_WITNESS)
-        gap_witness = _first_payload(
-            insts, lambda i: len(i.D) >= 2, _GAP_WITNESS)
-        tasks.append(("thm3_shift_control", shift_witness))
-        tasks.append(("thm3_gap_control", gap_witness))
-    elif name == "kuo":
-        L = max_L or 10
-        m = count or 20
-        made = 0
-        while made < m:
-            spec = random_region_spec(rng, max_L=L, max_y=3, max_u=3,
-                                      max_d=3, max_b=1, min_x=1, min_y=1)
-            if len(spec.B) >= spec.x or len(spec.free) < 2:
-                continue
-            tasks.append(("kuo", spec.to_json_dict()))
-            made += 1
-    elif name == "schur":
-        m = count or 30
-        L = max_L or 8
-        for _ in range(m):
-            spec = random_region_spec(rng, max_L=L, max_y=2, max_u=2,
-                                      max_d=2, max_b=0)
-            tasks.append(("schur", spec.to_json_dict()))
-    elif name == "barrier":
-        demo = DEMO_SPEC_JSON
-        # flipped companion: the up dent at 2 becomes a down dent
-        inst = dict(x=demo["x"], y=demo["y"], U=demo["U"], D=demo["D"],
-                    U2=[4, 5, 8, 11], D2=[2, 4, 9, 11, 12], B=[],
-                    barrier_sets=[[], [6], [6, 13]])
-        tasks.append(("barrier", inst))
-        made = 0
-        while made < (count or 2):
-            sh = random_shuffle_instance(rng, max_L=max_L or 9,
-                                         allow_flips=True, max_b=0)
-            free = list(sh.spec_a().free)
-            if sh.x < 2 or len(free) < 2:
-                continue
-            sets = [[], [free[0]], free[:2]]
-            payload = dict(sh.to_json_dict(), barrier_sets=sets)
-            tasks.append(("barrier", payload))
-            made += 1
-    elif name == "asym":
-        # strict_decay compares the last row with the first, so a table of
-        # one row would fail it whatever the counts: build at least two
-        n_max = max(2, count or 6)
-        decay = dict(clusters=[[["up", "down", "up"], ["down"]], [2]],
-                     clusters2=[[["up", "up", "down"], ["down"]], [2]],
-                     x=1, y=1, n_max=n_max, expect="strict_decay")
-        ident = dict(clusters=[[["up", "down", "up"], ["down"]], [2]],
-                     clusters2=[[["up", "down", "up"], ["down"]], [2]],
-                     x=1, y=1, n_max=n_max, expect="all_zero")
-        centered = dict(clusters=[[[], ["up", "down", "up"], []], [1, 1]],
-                        clusters2=[[[], ["up", "up", "down"], []], [1, 1]],
-                        x=1, y=1, n_max=n_max, expect="rows_equal_limit")
-        tasks.extend([("asym", decay), ("asym", ident), ("asym", centered)])
-    else:
+    """The deterministic task list for one suite: its fixed tasks, a task
+    of each check kind per kept draw, then each control on its first
+    witness among the kept draws."""
+    if name == "asym":
+        return _asym_tasks(count)
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    suite = _SUITES[name]
+    rng = random.Random(f"{seed}:{name}")
+    tasks, kept = list(suite.fixed), []
+    while len(kept) < (count or suite.count):
+        drawn = suite.draw(rng)
+        payload = suite.payload(drawn)
+        if payload is not None:
+            kept.append(drawn)
+            tasks.extend((kind, payload) for kind in suite.kinds)
+    for kind in suite.controls:
+        c = _CONTROLS[kind]
+        tasks.append((kind, next((i.to_json_dict() for i in kept
+                                  if c.witness(i)), c.fallback)))
     return tasks
 
 
 SUITE_NAMES = ("thm1", "thm2", "thm3", "kuo", "schur", "barrier", "asym")
 
 
-def run_suite(name: str, seed: int = 7, max_L: int | None = None,
-              count: int | None = None, jobs: int = 1) -> list[CheckReport]:
+def run_suite(name: str, seed: int = 7, count: int | None = None,
+              jobs: int = 1) -> list[CheckReport]:
     """Build and run one suite (or 'all'); report order is deterministic."""
     names = SUITE_NAMES if name == "all" else (name,)
-    tasks: list[Task] = []
-    for nm in names:
-        tasks.extend(build_suite(nm, seed=seed, max_L=max_L, count=count))
-    if jobs <= 1:
+    tasks = [t for n in names for t in build_suite(n, seed=seed, count=count)]
+    # the pool starts every worker at its first submit: ask for no more
+    # workers than there are tasks and CPUs
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [run_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_task, tasks, chunksize=1))
 
 

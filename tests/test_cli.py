@@ -152,15 +152,19 @@ def test_verify_small(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--count", "0"),
-                                         ("--max-L", "0"), ("--max-L", "1"),
                                          ("--jobs", "0"), ("--jobs", "-3")])
 def test_verify_rejects_nonpositive_sizes(flag, value, capsys):
-    # not an empty suite, not the suite default in disguise, not a serial
-    # run; the shuffle suites draw L from [2, max_L]
+    # not an empty suite, not the suite default in disguise, not a serial run
     assert main(["verify", "--suite", "thm1", flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {flag}" in captured.err
+
+
+def test_verify_has_no_max_L(capsys):
+    # each suite's bounds are fixed; the option that overrode them is gone
+    assert main(["verify", "--max-L", "5"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_jobs_deterministic(capsys):

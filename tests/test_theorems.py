@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -7,8 +10,10 @@ from dentedhex.engines import qcount_axis, qcount_brute
 from dentedhex.formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
                                 _q_shuffle_rhs_alt_shift,
                                 _q_shuffle_rhs_integer_gap, shuffle_rhs)
-from dentedhex.harness import (demo_spec, random_region_spec,
-                               random_shuffle_instance, run_suite, run_task)
+import dentedhex.harness as harness
+from dentedhex.harness import (SUITE_NAMES, build_suite, demo_spec,
+                               random_region_spec, random_shuffle_instance,
+                               run_suite, run_task)
 from dentedhex.lattice import ClusterSpec, SpecError, build_region, make_spec
 from dentedhex.theorems import (NoDistinctAlphaBeta, asym_table,
                                 check_barrier_independence, check_kuo,
@@ -260,3 +265,48 @@ def test_run_task_dispatch():
         assert report.passed
         assert (report.name, report.lhs, report.rhs) == want
         assert report.instance == inst.to_json_dict()
+
+
+def test_suite_task_lists_are_pinned():
+    # every suite's rng draws and task order, with and without a count
+    h = hashlib.sha256()
+    for seed in (3, 7, 11):
+        for count in (None, 1, 3):
+            for name in SUITE_NAMES:
+                tasks = build_suite(name, seed=seed, count=count)
+                h.update(json.dumps(tasks, sort_keys=True).encode())
+    assert h.hexdigest() == ("0d465ddd34a6997fc3e4a3782c54aa0b"
+                             "0194382856e4c28d70b0ba6d80aca838")
+    with pytest.raises(ValueError, match="unknown suite"):
+        build_suite("nope")
+
+
+@pytest.mark.parametrize("cpus, workers", [(4, [4]), (64, [5]), (1, []),
+                                           (None, [])])
+def test_run_suite_pool_is_no_larger_than_tasks_and_cpus(monkeypatch, cpus,
+                                                         workers):
+    # the pool starts every worker at its first submit, so it is sized by
+    # the tasks and CPUs; a stand-in records the size and starts nothing
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    serial = run_suite("thm3", count=3, jobs=1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # thm3 at count 3 is 3 checks and 2 controls; one worker runs serially
+    reports = run_suite("thm3", count=3, jobs=10_000)
+    assert sizes == workers
+    assert [r.json_line() for r in reports] == [r.json_line() for r in serial]
+    assert len(reports) == 5 and all(r.passed for r in reports)
