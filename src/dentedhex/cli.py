@@ -14,6 +14,7 @@ import math
 import sys
 from .engines import (RegionTooLarge, count_axis, count_brute,
                       enumerate_tilings, qcount_axis, qcount_brute)
+from .exactnum import ExactnessError
 from .formulas import ShuffleInstance, gen_shuffle_rhs, q_shuffle_rhs, shuffle_rhs
 from .harness import SUITE_NAMES, engine_corpus, run_suite, summarize
 from .lattice import (ClusterSpec, SpecError, build_region, make_spec,
@@ -280,6 +281,10 @@ def main(argv=None) -> int:
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ExactnessError as exc:
+        # an exact result broke its own invariant: a check failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ import sys
 import pytest
 
 import dentedhex
+from dentedhex import cli, theorems
 from dentedhex.cli import main
 from dentedhex.engines import count_axis, qcount_axis
+from dentedhex.exactnum import ExactnessError
 from dentedhex.formulas import pp
 from dentedhex.harness import DEMO_SPEC_JSON, demo_spec
 
@@ -139,6 +141,23 @@ def test_render_tiling_respects_brute_limit(demo_file, capsys):
     # the demo region is far beyond the enumeration budget
     assert main(["render", "--spec", demo_file, "--tiling", "0"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _broken_qcount_axis(spec):
+    raise ExactnessError("qcount_axis: planted fault")
+
+
+def test_exactness_error_exits_2_without_traceback(monkeypatch, demo_file,
+                                                  capsys):
+    monkeypatch.setattr(theorems, "qcount_axis", _broken_qcount_axis)
+    assert main(["verify", "--suite", "thm3", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: qcount_axis: planted fault\n"
+    monkeypatch.setattr(cli, "qcount_axis", _broken_qcount_axis)
+    assert main(["qcount", "--spec", demo_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: qcount_axis: planted fault\n"
 
 
 def test_verify_small(capsys):

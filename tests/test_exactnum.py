@@ -156,6 +156,42 @@ def test_packed_evaluates_at_a_power_of_two():
         QPoly.monomial(-1).packed(1)
 
 
+def per_digit(n, width, low):
+    """q^low * P with P(2^k) = n, read one int.from_bytes call per digit."""
+    k = 8 * width
+    count = n.bit_length() // k + 1
+    h = 1 << (k - 1)
+    offset = sum(h << k * i for i in range(count))
+    buf = (n + offset).to_bytes(count * width, "little")
+    digits = [int.from_bytes(buf[i:i + width], "little")
+              for i in range(0, count * width, width)]
+    return QPoly({e: v - h for e, v in enumerate(digits, low)})
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_from_packed_matches_the_per_digit_reader(width):
+    # widths up to 8 are read in C, 9 digit by digit
+    rng = random.Random(width)
+    h = 1 << (8 * width - 1)
+    edge = (h - 1, -(h - 1), 1, -1)
+    for _ in range(40):
+        span = rng.randint(1, 60)
+        p = QPoly({e: rng.choice(edge) if rng.random() < 0.3
+                   else rng.randint(-h + 1, h - 1)
+                   for e in rng.sample(range(span), rng.randint(1, span))})
+        # runs of zero digits between and around the terms
+        p = p + QPoly.monomial(span + rng.randint(1, 20), rng.choice(edge))
+        low = rng.randint(-30, 30)
+        n = p.packed(width)
+        got = QPoly.from_packed(n, width, low)
+        assert got == per_digit(n, width, low) == p.shifted(low)
+        # a negative packed value is the negated polynomial
+        assert QPoly.from_packed(-n, width, low) == per_digit(-n, width, low)
+        assert QPoly.from_packed(-n, width, low) == -p.shifted(low)
+    assert QPoly.from_packed(0, width, 0) == QPoly.zero()
+    assert QPoly.from_packed(0, width, -5) == QPoly.zero()
+
+
 def test_eval_one():
     assert (QPoly.monomial(2) + q).eval_one() == 2
     assert QPoly.zero().eval_one() == 0
