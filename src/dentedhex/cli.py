@@ -12,13 +12,13 @@ import csv
 import json
 import math
 import sys
-from .engines import (RegionTooLarge, count_axis, count_brute,
+from .engines import (RegionTooLarge, check_size, count_axis, count_brute,
                       enumerate_tilings, qcount_axis, qcount_brute)
 from .exactnum import ExactnessError
 from .formulas import ShuffleInstance, gen_shuffle_rhs, q_shuffle_rhs, shuffle_rhs
 from .harness import SUITE_NAMES, engine_corpus, run_suite, summarize
 from .lattice import (ClusterSpec, SpecError, build_region, make_spec,
-                      spec_from_json_dict)
+                      spec_from_json_dict, triangle_count)
 from .render import render_region_svg, render_tiling_svg
 from .theorems import asym_table, check_thm1, check_thm2, check_thm3
 
@@ -62,10 +62,18 @@ def _region_spec(args):
     return make_spec(args.x, args.y)
 
 
+def _brute_region(spec, limit: int | None):
+    """The region of spec for the oracle. Its triangle budget is checked
+    from the spec first: building an oversized region costs memory in
+    proportion to its size before the engine would refuse it."""
+    check_size(triangle_count(spec), limit)
+    return build_region(spec)
+
+
 def _cmd_count(args) -> int:
     spec = _region_spec(args)
     if args.engine == "brute":
-        value = count_brute(build_region(spec), limit=args.limit)
+        value = count_brute(_brute_region(spec, args.limit), limit=args.limit)
     else:
         value = count_axis(spec)
     print(value)
@@ -75,10 +83,10 @@ def _cmd_count(args) -> int:
 def _cmd_qcount(args) -> int:
     spec = _region_spec(args)
     if args.engine == "brute":
-        poly = qcount_brute(build_region(spec), limit=args.limit)
+        poly = qcount_brute(_brute_region(spec, args.limit), limit=args.limit)
     else:
         poly = qcount_axis(spec)
-    print(poly.eval_one() if args.at_one else poly.render())
+    print(poly.render())
     return 0
 
 
@@ -145,8 +153,8 @@ def _cmd_render(args) -> int:
     if args.tiling is None:
         _write(render_region_svg(spec, unit=args.unit), args.out)
         return 0
-    region = build_region(spec)
-    tilings = enumerate_tilings(region, limit=args.tiling + 1)
+    tilings = enumerate_tilings(_brute_region(spec, None),
+                                limit=args.tiling + 1)
     if args.tiling >= len(tilings):
         print(f"error: region has only {len(tilings)} tilings", file=sys.stderr)
         return 1
@@ -156,8 +164,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    for spec in engine_corpus(seed=args.seed, size=args.size,
-                              max_L=args.max_L):
+    for spec in engine_corpus(seed=args.seed, size=args.size):
         print(json.dumps(spec.to_json_dict(), sort_keys=True,
                          separators=(",", ":")))
     return 0
@@ -214,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_region(p)
     p.add_argument("--engine", choices=("axis", "brute"), default="axis")
     p.add_argument("--limit", type=_int_at_least(0), default=None)
-    p.add_argument("--at-one", action="store_true",
-                   help="evaluate at q=1 (equals count)")
     p.set_defaults(func=_cmd_qcount)
 
     p = sub.add_parser("ratio", help="predicted count ratio of two regions")
@@ -259,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="regenerate the cross-engine corpus")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--size", type=_int_at_least(0), default=300)
-    p.add_argument("--max-L", type=_int_at_least(1), default=8, dest="max_L")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

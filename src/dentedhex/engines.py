@@ -102,7 +102,7 @@ from math import factorial, prod
 from typing import Sequence
 
 from .exactnum import ExactnessError, QPoly, digit_width
-from .formulas import schur_ones
+from .formulas import delta, schur_ones
 from .lattice import (KIND_R, KIND_V, LOZENGE_MATES, Lozenge, Tiling,
                       Triangle, TriangularRegion, ValidatedSpec)
 
@@ -150,8 +150,10 @@ def _dual_graph(region: TriangularRegion, key=None):
     return tris, partners
 
 
-def _check_size(region: TriangularRegion, limit: int | None):
-    m = len(region.triangles)
+def check_size(m: int, limit: int | None) -> int:
+    """m, a region's triangle count; RegionTooLarge when it exceeds
+    limit (None: BRUTE_LIMIT). The CLI checks lattice.triangle_count(spec)
+    here before it builds the region."""
     cap = BRUTE_LIMIT if limit is None else limit
     if m > cap:
         raise RegionTooLarge(f"{m} triangles exceeds the limit {cap}")
@@ -201,7 +203,7 @@ def _matching_sum(tris, partners, k: int) -> tuple[int, int]:
 
 def count_brute(region: TriangularRegion, limit: int | None = None) -> int:
     """Number of perfect matchings of the dual graph; empty region -> 1."""
-    _check_size(region, limit)
+    check_size(len(region.triangles), limit)
     return _matching_sum(*_dual_graph(region, _sweep), 0)[0]
 
 
@@ -226,7 +228,7 @@ def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     fits a digit sized by _count_bound; an overflowed digit would read
     back negative.
     """
-    _check_size(region, limit)
+    check_size(len(region.triangles), limit)
     tris, partners = _dual_graph(region, _sweep)
     width = digit_width(_count_bound(tris, partners))
     n, low = _matching_sum(tris, partners, 8 * width)
@@ -240,7 +242,7 @@ def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
 def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
                       max_triangles: int | None = None) -> list[Tiling]:
     """All tilings in deterministic DFS order, truncated at limit."""
-    m = _check_size(region, max_triangles)
+    m = check_size(len(region.triangles), max_triangles)
     if m % 2:
         return []
     tris, partners = _dual_graph(region)
@@ -330,12 +332,6 @@ def count_axis(spec: ValidatedSpec) -> int:
     return out
 
 
-def _delta_at(T: Sequence[int], k: int) -> int:
-    """prod over i<j of (Q^(t_j) - Q^(t_i)) at Q = 2^k, T increasing."""
-    return prod((1 << k * t) - (1 << k * s)
-                for j, t in enumerate(T) for s in T[:j])
-
-
 def qcount_axis(spec: ValidatedSpec) -> QPoly:
     """Tiling generating function, exactly equal to qcount_brute.
 
@@ -357,8 +353,11 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
         weights.append(w.packed(width))
     nodes = [1 << k * s for s in spec.free]
     det = _hankel_det(_moments(weights, nodes, y), y)
-    num = _delta_at(U, k) * _delta_at(D, k) * det
-    den = _delta_at(range(1, a + 1), k) * _delta_at(range(1, b + 1), k)
+    # dq(T) at q = Q is delta of the nodes Q^t
+    num = (delta([1 << k * t for t in U]) * delta([1 << k * t for t in D])
+           * det)
+    den = (delta([1 << k * t for t in range(1, a + 1)])
+           * delta([1 << k * t for t in range(1, b + 1)]))
     quo, rem = divmod(num, den)
     E = (sum(U) + sum(D) - a * (a + 1) // 2 + b * (b + 1) // 2
          - (L + 1) * (b * (b - 1) // 2 + b) + (b - 1) * b * (b + 1) // 2)

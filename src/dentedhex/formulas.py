@@ -154,8 +154,8 @@ class ShuffleInstance:
     D2: tuple[int, ...]
     B: tuple[int, ...] = ()
     # the two validated regions, built once in __post_init__
-    _spec_a: ValidatedSpec = field(init=False, compare=False, repr=False)
-    _spec_b: ValidatedSpec = field(init=False, compare=False, repr=False)
+    spec_a: ValidatedSpec = field(init=False, compare=False, repr=False)
+    spec_b: ValidatedSpec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "U", tuple(self.U))
@@ -171,14 +171,8 @@ class ShuffleInstance:
             raise SpecError("shuffle must preserve the intersection of dents")
         if a.L != b.L:
             raise ExactnessError("shuffle changed the side length L")
-        object.__setattr__(self, "_spec_a", a)
-        object.__setattr__(self, "_spec_b", b)
-
-    def spec_a(self) -> ValidatedSpec:
-        return self._spec_a
-
-    def spec_b(self) -> ValidatedSpec:
-        return self._spec_b
+        object.__setattr__(self, "spec_a", a)
+        object.__setattr__(self, "spec_b", b)
 
     @property
     def n(self) -> int:
@@ -292,26 +286,11 @@ def _q_shuffle_rhs_integer_gap(inst: ShuffleInstance) -> QRatio:
     return QRatio(ratio.num * delta_q(gap), ratio.den * delta(gap))
 
 
-@dataclass(frozen=True)
-class ClusterStats:
-    """Counts of the two dented semihexagons a cluster defines."""
-
-    s_plus: int
-    s_minus: int
-
-
-def cluster_s_values(cluster: Sequence[str]) -> ClusterStats:
-    """Semihexagon counts for one cluster, positions local to the cluster."""
-    ups = tuple(i + 1 for i, tok in enumerate(cluster) if tok == UP)
-    downs = tuple(i + 1 for i, tok in enumerate(cluster) if tok == DOWN)
-    if len(ups) + len(downs) != len(cluster):
-        raise SpecError("cluster tokens must be up or down")
-    return ClusterStats(schur_ones(ups), schur_ones(downs))
-
-
 def asym_rhs(c: ClusterSpec, c2: ClusterSpec) -> Fraction:
     """Limit ratio for cluster shuffles as the hexagon and gaps scale:
-    the product over clusters of (s+ s-) / (s+' s-')."""
+    the product over clusters of (s+ s-) / (s+' s-'), where s+ and s- count
+    the dented semihexagons of a cluster's up and of its down dents, at
+    positions local to the cluster."""
     if len(c.clusters) != len(c2.clusters):
         raise IncompatibleClusters("different numbers of clusters")
     if c.lengths != c2.lengths:
@@ -321,7 +300,8 @@ def asym_rhs(c: ClusterSpec, c2: ClusterSpec) -> Fraction:
         raise IncompatibleClusters(f"gaps differ: {c.gaps} vs {c2.gaps}")
     out = Fraction(1)
     for a, b in zip(c.clusters, c2.clusters):
-        sa = cluster_s_values(a)
-        sb = cluster_s_values(b)
-        out *= Fraction(sa.s_plus * sa.s_minus, sb.s_plus * sb.s_minus)
+        for tok in (UP, DOWN):
+            out *= Fraction(
+                schur_ones([i + 1 for i, t in enumerate(a) if t == tok]),
+                schur_ones([i + 1 for i, t in enumerate(b) if t == tok]))
     return out

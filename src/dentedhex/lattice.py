@@ -215,6 +215,18 @@ def dent_triangles(spec: ValidatedSpec) -> Iterator[Triangle]:
     yield from (Triangle(t - 1, -1, False) for t in spec.D)
 
 
+def triangle_count(spec: ValidatedSpec) -> int:
+    """len(build_region(spec).triangles), without building the region.
+
+    Row b >= 0 holds L - b up and L - 1 - b down triangles, and so does row
+    -1 - b, so the h = y + |U| rows above the axis hold h(2L - h) and the
+    g = y + |D| rows below it g(2L - g); each dent removes one.
+    """
+    h, g = spec.y + len(spec.U), spec.y + len(spec.D)
+    return (h * (2 * spec.L - h) + g * (2 * spec.L - g)
+            - len(spec.U) - len(spec.D))
+
+
 def build_region(spec: ValidatedSpec) -> TriangularRegion:
     """Materialize the triangle set of a validated spec."""
     L = spec.L

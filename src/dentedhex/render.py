@@ -80,6 +80,9 @@ class _Canvas:
             dy = self.max_y - self.min_y + 2 * pad
             vb = f"{_fmt(x0)} {_fmt(y0)} {_fmt(dx)} {_fmt(dy)}"
             w, h = self.unit * dx, self.unit * dy
+            if not (math.isfinite(w) and math.isfinite(h)):
+                raise ValueError(f"unit {self.unit} makes the image "
+                                 f"{w} x {h} pixels")
         body = "\n".join(self.elems)
         return (f'<svg xmlns="http://www.w3.org/2000/svg" '
                 f'width="{_fmt(w)}" height="{_fmt(h)}" viewBox="{vb}">\n'

@@ -10,12 +10,15 @@ check_thm1, check_thm2 and check_thm3 take the prediction they check as
 rhs, a function of the instance; None means the validated formula of
 formulas, looked up when the check runs. A negative control passes a
 wrong formula instead and expects the check to fail.
+
+A CheckReport holds exactly what its JSON line prints: the check's name,
+its instance, both sides and the verdict. It carries no timing, so the
+report bytes cannot depend on the clock or on the worker count.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -40,32 +43,22 @@ class CheckReport:
     lhs: str
     rhs: str
     passed: bool
-    elapsed: float
 
     def json_line(self) -> str:
-        # elapsed is deliberately excluded: report bytes must not depend on
-        # timing or parallelism.
         return json.dumps(
             {"name": self.name, "instance": self.instance, "lhs": self.lhs,
              "rhs": self.rhs, "pass": self.passed},
             sort_keys=True, separators=(",", ":"))
 
 
-def _report(name: str, instance: dict, lhs: str, rhs: str, passed: bool,
-            t0: float) -> CheckReport:
-    return CheckReport(name, instance, lhs, rhs, bool(passed),
-                       time.perf_counter() - t0)
-
-
-def _count_ratio(name: str, inst: ShuffleInstance, ratio: Fraction,
-                 t0: float) -> CheckReport:
+def _count_ratio(name: str, inst: ShuffleInstance,
+                 ratio: Fraction) -> CheckReport:
     """The count ratio of the two sides of inst against ratio, verified as
     the exact integer identity count_a * ratio.den == count_b * ratio.num."""
-    a = count_axis(inst.spec_a())
-    b = count_axis(inst.spec_b())
-    passed = a * ratio.denominator == b * ratio.numerator
-    return _report(name, inst.to_json_dict(), f"{a}/{b}", str(ratio),
-                   passed, t0)
+    a = count_axis(inst.spec_a)
+    b = count_axis(inst.spec_b)
+    return CheckReport(name, inst.to_json_dict(), f"{a}/{b}", str(ratio),
+                       a * ratio.denominator == b * ratio.numerator)
 
 
 def check_thm1(inst: ShuffleInstance,
@@ -73,10 +66,9 @@ def check_thm1(inst: ShuffleInstance,
                ) -> CheckReport:
     """Size-preserving shuffle: count ratio equals the delta-product ratio
     (rhs, default shuffle_rhs)."""
-    t0 = time.perf_counter()
     if inst.B:
         raise SpecError("the size-preserving identity is stated without barriers")
-    return _count_ratio("thm1", inst, (rhs or shuffle_rhs)(inst), t0)
+    return _count_ratio("thm1", inst, (rhs or shuffle_rhs)(inst))
 
 
 def check_pair_product(inst: ShuffleInstance) -> CheckReport:
@@ -84,19 +76,17 @@ def check_pair_product(inst: ShuffleInstance) -> CheckReport:
 
     The flat companions share the base length, so positions transfer as is.
     """
-    t0 = time.perf_counter()
     if not inst.thm1_shaped():
         raise SpecError("size-preserving shuffle required here")
     if inst.B:
         raise SpecError("the pair-product identity is stated without barriers")
-    a = count_axis(inst.spec_a())
-    b = count_axis(inst.spec_b())
+    a = count_axis(inst.spec_a)
+    b = count_axis(inst.spec_b)
     flat = inst.x + inst.y
     fa = count_axis(make_spec(flat, 0, inst.U, inst.D, ()))
     fb = count_axis(make_spec(flat, 0, inst.U2, inst.D2, ()))
-    passed = a * fb == b * fa
-    return _report("pair_product", inst.to_json_dict(),
-                   f"{a}*{fb}", f"{b}*{fa}", passed, t0)
+    return CheckReport("pair_product", inst.to_json_dict(),
+                       f"{a}*{fb}", f"{b}*{fa}", a * fb == b * fa)
 
 
 def check_thm2(inst: ShuffleInstance,
@@ -104,15 +94,13 @@ def check_thm2(inst: ShuffleInstance,
                ) -> CheckReport:
     """General shuffle with flips and barriers: count ratio equals rhs,
     default gen_shuffle_rhs."""
-    t0 = time.perf_counter()
-    return _count_ratio("thm2", inst, (rhs or gen_shuffle_rhs)(inst), t0)
+    return _count_ratio("thm2", inst, (rhs or gen_shuffle_rhs)(inst))
 
 
 def check_barrier_independence(inst: ShuffleInstance,
                                barrier_sets: Sequence[Sequence[int]]) -> CheckReport:
     """The shuffle ratio does not see the barrier set: all pairwise
     cross-products of counts over the given barrier sets must agree."""
-    t0 = time.perf_counter()
     counts = []
     for B in barrier_sets:
         a = count_axis(make_spec(inst.x, inst.y, inst.U, inst.D, tuple(B)))
@@ -128,8 +116,8 @@ def check_barrier_independence(inst: ShuffleInstance,
     instance = dict(inst.to_json_dict(),
                     barrier_sets=[list(B) for B in barrier_sets])
     lhs = ";".join(f"{a}/{b}" for a, b in counts)
-    return _report("barrier_independence", instance, lhs,
-                   "all cross-products equal", passed, t0)
+    return CheckReport("barrier_independence", instance, lhs,
+                       "all cross-products equal", passed)
 
 
 def check_thm3(inst: ShuffleInstance,
@@ -138,13 +126,11 @@ def check_thm3(inst: ShuffleInstance,
     """Weighted shuffle: the ratio of tiling generating functions equals
     rhs, default q_shuffle_rhs, compared by cross-multiplication of
     Laurent polynomials."""
-    t0 = time.perf_counter()
     ratio = (rhs or q_shuffle_rhs)(inst)
-    a = qcount_axis(inst.spec_a())
-    b = qcount_axis(inst.spec_b())
-    passed = QRatio(a, b) == ratio
-    return _report("thm3", inst.to_json_dict(), f"({a}) / ({b})", str(ratio),
-                   passed, t0)
+    a = qcount_axis(inst.spec_a)
+    b = qcount_axis(inst.spec_b)
+    return CheckReport("thm3", inst.to_json_dict(), f"({a}) / ({b})",
+                       str(ratio), QRatio(a, b) == ratio)
 
 
 def check_kuo(spec: ValidatedSpec) -> CheckReport:
@@ -160,7 +146,6 @@ def check_kuo(spec: ValidatedSpec) -> CheckReport:
     Every term is computed by qcount_axis; the base length is the same for
     all six regions, so positions keep their meaning.
     """
-    t0 = time.perf_counter()
     if spec.x < 1 or spec.y < 1:
         raise SpecError("recurrence needs x >= 1 and y >= 1")
     if len(spec.free) < 2:
@@ -175,7 +160,7 @@ def check_kuo(spec: ValidatedSpec) -> CheckReport:
     rhs = (mq(spec.x - 1, spec.y, (beta,)) * mq(spec.x, spec.y - 1, (alpha,))
            + mq(spec.x - 1, spec.y, (alpha,)) * mq(spec.x, spec.y - 1, (beta,)))
     instance = dict(spec.to_json_dict(), alpha=alpha, beta=beta)
-    return _report("kuo", instance, str(lhs), str(rhs), lhs == rhs, t0)
+    return CheckReport("kuo", instance, str(lhs), str(rhs), lhs == rhs)
 
 
 def crossing_subsets(free: Sequence[int], y: int) -> Iterator[tuple[int, ...]]:
@@ -204,7 +189,6 @@ def check_schur_sum(spec: ValidatedSpec) -> CheckReport:
     evaluates the same sum as one Hankel determinant; the check passes only
     when all three agree. Barrier-free specs only.
     """
-    t0 = time.perf_counter()
     if spec.B:
         raise SpecError("the crossing-sum identity is stated without barriers")
     lhs = count_brute(build_region(spec))
@@ -212,8 +196,8 @@ def check_schur_sum(spec: ValidatedSpec) -> CheckReport:
     for S in crossing_subsets(spec.free, spec.y):
         rhs += (schur_ones(tuple(sorted(spec.U + S)))
                 * schur_ones(tuple(sorted(spec.D + S))))
-    return _report("schur_sum", spec.to_json_dict(), str(lhs), str(rhs),
-                   lhs == rhs == count_axis(spec), t0)
+    return CheckReport("schur_sum", spec.to_json_dict(), str(lhs), str(rhs),
+                       lhs == rhs == count_axis(spec))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ def _criterion(n, desc, fn):
 
 def test_criterion_01_engine_equivalence():
     def run():
-        corpus = engine_corpus(seed=SEED, size=300, max_L=8)
+        corpus = engine_corpus(seed=SEED, size=300)
         assert len(corpus) == 300
         for spec in corpus:
             region = build_region(spec)

@@ -1,15 +1,17 @@
+import itertools
 import json
 import sys
 
 import pytest
 
 import dentedhex
-from dentedhex import cli, theorems
+from dentedhex import cli, harness, theorems
 from dentedhex.cli import main
 from dentedhex.engines import count_axis, qcount_axis
 from dentedhex.exactnum import ExactnessError
 from dentedhex.formulas import pp
 from dentedhex.harness import DEMO_SPEC_JSON, demo_spec
+from dentedhex.lattice import make_spec
 
 
 @pytest.fixture
@@ -68,9 +70,11 @@ def test_qcount_and_at_one(demo_file, capsys):
     assert main(["qcount", "--spec", demo_file]) == 0
     poly_text = capsys.readouterr().out.strip()
     assert poly_text == qcount_axis(demo_spec()).render()
-    assert main(["qcount", "--spec", demo_file, "--at-one"]) == 0
-    at_one = capsys.readouterr().out.strip()
-    assert at_one == str(count_axis(demo_spec()))
+    # the value at q = 1 is count; qcount has no option that prints it
+    assert main(["qcount", "--spec", demo_file, "--at-one"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --at-one" in captured.err
 
 
 def test_ratio_identity(tmp_path, capsys):
@@ -141,6 +145,25 @@ def test_render_tiling_respects_brute_limit(demo_file, capsys):
     # the demo region is far beyond the enumeration budget
     assert main(["render", "--spec", demo_file, "--tiling", "0"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _unbuilt_region(spec):
+    raise AssertionError("an oversized region was built before the "
+                         "budget refused it")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--engine", "brute"], ["qcount", "--engine", "brute"],
+    ["render", "--tiling", "0"]])
+def test_oversized_region_is_refused_before_it_is_built(argv, demo_file,
+                                                        monkeypatch, capsys):
+    # building costs memory in proportion to the region; the budget is
+    # checked on the triangle count of the spec
+    monkeypatch.setattr(cli, "build_region", _unbuilt_region)
+    assert main(argv + ["--spec", demo_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 298 triangles exceeds the limit 120\n"
 
 
 def _broken_qcount_axis(spec):
@@ -230,6 +253,18 @@ def test_render_unit_must_be_positive_finite(demo_file, tmp_path, unit,
     assert not out.exists()
 
 
+def test_render_unit_that_overflows_the_image_exits_1(demo_file, tmp_path,
+                                                     capsys):
+    # 1e308 is finite, but 1e308 times the region's width is not
+    out = tmp_path / "r.svg"
+    assert main(["render", "--spec", demo_file, "--unit", "1e308",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unit 1e+308 makes the image inf")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("obj", [
     {"clusters": [["up"], ["down"]]},              # no gaps
     [[["up"], ["down"]], [2]],                     # not an object
@@ -285,26 +320,33 @@ _ASYM = ["asym", "--clusters", "c.json", "--clusters-alt", "c.json",
     (["corpus", "--size", "-1"], "--size"),
     (_ASYM + ["--nmax", "0"], "--nmax"),
     (_ASYM + ["--nmax", "-2"], "--nmax"),
-    (["corpus", "--max-L", "0"], "--max-L"),
-    (["corpus", "--max-L", "-2"], "--max-L"),
+    (["corpus", "--max-L", "8"], "--max-L"),
     (["count", "--x", "3", "--y", "3", "--engine", "brute", "--limit", "-5"],
      "--limit"),
     (["qcount", "--x", "3", "--y", "3", "--engine", "brute", "--limit", "-5"],
      "--limit"),
 ])
 def test_sizes_below_range_are_usage_errors(argv, flag, capsys):
-    # argparse rejects the value before any cluster file is opened
+    # argparse rejects the value before any cluster file is opened; the
+    # corpus is defined at L <= 8, so corpus has no --max-L to range-check
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: argument {flag}" in captured.err
+    want = ("error: unrecognized arguments: --max-L" if flag == "--max-L"
+            else f"error: argument {flag}")
+    assert want in captured.err
 
 
-@pytest.mark.parametrize("max_L", ["1", "2"])
-def test_corpus_short_of_size_exits_1(max_L, capsys):
-    # too few distinct specs have L <= max_L to fill 50; the draws are
-    # bounded, so this ends with an error instead of looping forever
-    assert main(["corpus", "--size", "50", "--max-L", max_L]) == 1
+@pytest.mark.parametrize("distinct", [1, 2])
+def test_corpus_short_of_size_exits_1(distinct, monkeypatch, capsys):
+    # draws that repeat the same few specs leave the corpus short of 50;
+    # the draws are bounded, so this ends with an error instead of looping
+    # forever
+    specs = [make_spec(3, 1, (2,)), make_spec(2, 2, (), (1,))]
+    draws = itertools.cycle(specs[:distinct])
+    monkeypatch.setattr(harness, "random_region_spec",
+                        lambda rng, **bounds: next(draws))
+    assert main(["corpus", "--size", "50"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "short of size 50" in captured.err

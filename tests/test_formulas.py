@@ -10,9 +10,8 @@ import pytest
 
 from dentedhex.engines import count_brute, qcount_axis, qcount_brute
 from dentedhex.exactnum import ExactnessError, QPoly, QRatio
-from dentedhex.formulas import (ClusterStats, IncompatibleClusters,
-                                ShuffleInstance, asym_rhs, clp_q_dents,
-                                cluster_s_values, delta, delta_q,
+from dentedhex.formulas import (IncompatibleClusters, ShuffleInstance,
+                                asym_rhs, clp_q_dents, delta, delta_q,
                                 gen_shuffle_rhs, pp, pp_q, q_shift_exponent,
                                 q_shuffle_rhs, schur_ones, shuffle_rhs)
 from dentedhex.harness import build_suite, random_shuffle_instance
@@ -207,7 +206,7 @@ def test_q_shuffle_rhs_condensation_compatibility():
         if inst.x < 1 or inst.y < 1:
             continue
         blocked = set(inst.U) | set(inst.D) | set(inst.B)
-        free = [k for k in range(1, inst.spec_a().L + 1)
+        free = [k for k in range(1, inst.spec_a.L + 1)
                 if k not in blocked]
         if len(free) < 2:
             continue
@@ -233,7 +232,7 @@ def test_q_shuffle_rhs_condensation_compatibility():
 
 def test_q_shuffle_rhs_against_engines_small():
     inst = ShuffleInstance(2, 1, (1, 2), (), (1,), (2,))
-    lhs = QRatio(qcount_axis(inst.spec_a()), qcount_axis(inst.spec_b()))
+    lhs = QRatio(qcount_axis(inst.spec_a), qcount_axis(inst.spec_b))
     assert lhs == q_shuffle_rhs(inst)
 
 
@@ -278,10 +277,18 @@ def test_q_shuffle_rhs_sides_are_the_written_out_products():
 
 
 def test_cluster_s_values():
-    assert cluster_s_values(()) == ClusterStats(1, 1)
-    assert cluster_s_values(("up", "down")) == ClusterStats(1, 1)
-    assert cluster_s_values(("up", "up", "down")) == ClusterStats(1, 1)
-    assert cluster_s_values(("up", "down", "up")) == ClusterStats(2, 1)
+    # one cluster against all-up dents at 1..n, whose semihexagons each
+    # count 1: asym_rhs is the cluster's s+ s-, its up dents' semihexagon
+    # count times its down dents', at positions local to the cluster
+    def s(cluster):
+        return asym_rhs(ClusterSpec((cluster,), ()),
+                        ClusterSpec((("up",) * len(cluster),), ()))
+
+    assert s(()) == 1
+    assert s(("up", "down")) == 1
+    assert s(("up", "up", "down")) == 1
+    assert s(("up", "down", "up")) == 2  # s+ = schur_ones((1, 3))
+    assert s(("down", "up", "down")) == 2  # s- = schur_ones((1, 3))
 
 
 def test_asym_rhs():

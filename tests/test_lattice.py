@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from dentedhex.harness import random_region_spec
+from dentedhex.harness import demo_spec, engine_corpus, random_region_spec
 from dentedhex.lattice import (LOZENGE_MATES, BarrierOverlap, ClusterSpec,
                                DuplicateEntry, GeometryMismatch, Lozenge,
                                NotSorted, PositionOutOfRange, SpecError,
                                TooManyBarriers, Triangle, UP, build_region,
                                clusters_to_spec, dent_triangles,
                                lozenge_triangles, make_spec,
-                               spec_from_json_dict, reflect_positions)
+                               spec_from_json_dict, reflect_positions,
+                               triangle_count)
 
 
 def test_validate_demo_instance():
@@ -225,6 +226,14 @@ def test_json_wire_format():
         spec_from_json_dict({"x": 1, "y": 1, "Z": []})
     with pytest.raises(Exception):
         spec_from_json_dict({"y": 1})
+
+
+def test_triangle_count_needs_no_region():
+    specs = engine_corpus(seed=7) + [demo_spec(), make_spec(8, 8),
+                                     make_spec(300, 2)]
+    for spec in specs:
+        assert triangle_count(spec) == len(build_region(spec).triangles)
+    assert triangle_count(demo_spec()) == 298
 
 
 def test_degenerate_regions():
