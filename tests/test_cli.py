@@ -321,6 +321,7 @@ _ASYM = ["asym", "--clusters", "c.json", "--clusters-alt", "c.json",
     (_ASYM + ["--nmax", "0"], "--nmax"),
     (_ASYM + ["--nmax", "-2"], "--nmax"),
     (["corpus", "--max-L", "8"], "--max-L"),
+    (["corpus", "--max-L", "-2"], "--max-L"),
     (["count", "--x", "3", "--y", "3", "--engine", "brute", "--limit", "-5"],
      "--limit"),
     (["qcount", "--x", "3", "--y", "3", "--engine", "brute", "--limit", "-5"],
@@ -328,7 +329,8 @@ _ASYM = ["asym", "--clusters", "c.json", "--clusters-alt", "c.json",
 ])
 def test_sizes_below_range_are_usage_errors(argv, flag, capsys):
     # argparse rejects the value before any cluster file is opened; the
-    # corpus is defined at L <= 8, so corpus has no --max-L to range-check
+    # corpus is defined at L <= 8, so corpus has no --max-L at all and
+    # rejects it whatever its value
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
