@@ -2,16 +2,19 @@
 
 count_brute / qcount_brute sum over the perfect matchings of the region's
 dual graph (vertices = unit triangles, edges = shared sides honoring the
-forbidden crossing positions). A forward transfer-matrix DP walks the
-triangles in sweep order (_sweep: column by column, each from the top);
-before step i every earlier triangle is covered, so a partial matching
-is known by the set of later triangles it already covers, and one dict
-(that set -> summed value) is all it keeps. It counts every tiling
-without visiting each one. They are the oracle: simple, and obviously
-faithful to the region; its edges come from lattice.LOZENGE_MATES.
-enumerate_tilings is the only per-tiling walk, for rendering: depth
-first over the same edges, on an explicit state stack, in sorted
-(a, b, up) order, which fixes the order of the tilings it lists.
+forbidden crossing positions). A forward DP walks the triangles in sweep
+order (_sweep: column by column, each from the top) and extends a partial
+matching only at its lowest uncovered triangle, the order in which
+enumerate_tilings' DFS extends a partial tiling. Matchings that share
+their lowest uncovered triangle i are told apart only by the later
+triangles they cover, so one dict per i (that set -> summed value) is all
+the DP keeps; step i empties the dict of i into the dicts further on. It
+counts every tiling without visiting each one. They are the oracle:
+simple, and obviously faithful to the region; its edges come from
+lattice.LOZENGE_MATES. enumerate_tilings is the only per-tiling walk, for
+rendering: depth first over the same edges, on an explicit state stack,
+in sorted (a, b, up) order, which fixes the order of the tilings it
+lists.
 
 Both run one DP on plain ints, with the q-weights evaluated at q = 2^k:
 matching along an edge of weight w shifts a value left by k*w bits, and
@@ -25,16 +28,21 @@ a product over the up triangles' degrees, sizes the digits without a
 counting pass. A digit that overflowed would read back negative, which
 raises ExactnessError.
 
-The DP's memory follows its largest single layer, not every state it
-ever reaches. In sweep order a hexagon make_spec(x, y) with x <= y + 1
-peaks at C(x + y, x) states: which x of the x + y crossings of one
-lattice line its paths use. The flat make_spec(300, 2) (2,408 triangles)
-peaks at 10 states, the tall make_spec(2, 12) (384 triangles) at 91 and
-make_spec(8, 8) (384 triangles) at 12,870; sorted (a, b, up) order
-would keep 10, 1,105 and 22,308. make_spec(8, 8) counts in about 0.65 s
-and 19 MB of peak RSS, make_spec(10, 10) in about 23 s and 68 MB. The
-q-count of make_spec(8, 8), packed in 20-byte digits, takes about 3 s
-and 160 MB (Python 3.11, one core of a 2-vCPU machine).
+The DP's memory follows the states alive at one time, not every state it
+ever reaches. When step i starts, those are the partial matchings that
+cover every triangle below i, each filed under its own lowest uncovered
+triangle: the same states a layer-by-layer DP keeps as its layer i. That
+DP copies each state whose triangle i is already covered into layer
+i + 1; this order skips those copies, and keeps no more states. In sweep
+order a hexagon make_spec(x, y) with x <= y + 1 peaks at C(x + y, x)
+states: which x of the x + y crossings of one lattice line its paths
+use. The flat make_spec(300, 2) (2,408 triangles) peaks at 10 states,
+the tall make_spec(2, 12) (384 triangles) at 91 and make_spec(8, 8) (384
+triangles) at 12,870; sorted (a, b, up) order would keep 10, 1,105 and
+22,308. make_spec(8, 8) counts in 0.25-0.5 s and 18 MB of peak RSS,
+make_spec(10, 10) in about 8 s and 57 MB. The q-count of
+make_spec(8, 8), packed in 20-byte digits, takes 1.7-1.9 s and 147 MB
+(Python 3.11, one core of a shared 2-vCPU machine).
 BRUTE_LIMIT stays at 120 triangles all the same: it also guards
 enumerate_tilings, which is exponential, and the CLI tests rely on it to
 refuse rendering a tiling of the 298-triangle demo region. Callers that
@@ -169,36 +177,38 @@ def _matching_sum(tris, partners, k: int) -> tuple[int, int]:
     low the sum of those least weights, and leaves every shift k * w >= 0.
     Down triangles are offset by 0.
 
-    Before step i every triangle below i is covered, so a partial matching
-    is known by which later triangles it covers: bit d of the state is
-    triangle i + d. A layer maps each state to the summed value of its
-    partial matchings at q = 2^k. Step i shifts a covered triangle out; an
-    uncovered one is matched with each free partner j > i, the value times
-    2^(k * w). The full region is the state 0 after the last step; the
-    empty region never steps and is worth 1.
+    A partial matching is extended only at its lowest uncovered triangle,
+    the order enumerate_tilings' DFS walks. pending[i] holds the partial
+    matchings whose lowest uncovered triangle is i: it maps the covered
+    set, bit d for triangle i + d, to their summed value at q = 2^k. Step
+    i matches triangle i with each free partner j > i, the value times
+    2^(k * w), and files the result under its new lowest uncovered
+    triangle, i plus the trailing one bits of the new set. The full
+    region is the state 0 of pending[m]; for the empty region that is
+    pending[0], worth 1.
     """
     off = [min(w for _, w in ps) if t.up and ps else 0
            for t, ps in zip(tris, partners)]
-    layer = {0: 1}
+    pending: list[dict[int, int] | None] = [{} for _ in range(len(tris) + 1)]
+    pending[0][0] = 1
     for i, ps in enumerate(partners):
-        mates = [(1 << j - i, k * (w - off[i] - off[j]))
+        states, pending[i] = pending[i], None  # freed once stepped
+        if not states:
+            continue
+        # bits: triangle i and its partner j
+        mates = [(1 << j - i | 1, k * (w - off[i] - off[j]))
                  for j, w in ps if j > i]
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for state, v in layer.items():
-            if state & 1:
-                s = state >> 1
-                old = get(s)
-                nxt[s] = v if old is None else old + v
-                continue
-            for bit, shift in mates:
-                if not state & bit:
-                    s = (state | bit) >> 1
+        for state, v in states.items():
+            for bits, shift in mates:
+                if not state & bits:
+                    s = state | bits
+                    t = (s ^ s + 1).bit_length() - 1  # trailing ones
+                    s >>= t
+                    bucket = pending[i + t]
                     u = v << shift if shift else v
-                    old = get(s)
-                    nxt[s] = u if old is None else old + u
-        layer = nxt
-    return layer.get(0, 0), sum(off)
+                    old = bucket.get(s)
+                    bucket[s] = u if old is None else old + u
+    return pending[-1].get(0, 0), sum(off)
 
 
 def count_brute(region: TriangularRegion, limit: int | None = None) -> int:

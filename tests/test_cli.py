@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import time
 
 import pytest
 
@@ -241,6 +242,23 @@ def test_render_cli(demo_file, tmp_path, capsys):
     for index in ("5", "-1"):  # past the last tiling, and negative
         assert main(["render", "--spec", hexf, "--tiling", index]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_render_refuses_an_oversized_region(demo_file, tmp_path, capsys):
+    # hex(1000, 1000) has 100 times the 60,000 triangles of hex(100, 100),
+    # which takes 0.8 s and 50 MB to draw; the count comes from the spec
+    out = tmp_path / "r.svg"
+    hexf = _spec_file(tmp_path, "hex.json", {"x": 1000, "y": 1000})
+    t0 = time.perf_counter()
+    assert main(["render", "--spec", hexf, "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 6000000 triangles exceeds the limit "
+                            f"{cli.RENDER_LIMIT}\n")
+    assert not out.exists()
+    assert main(["render", "--spec", demo_file, "--out", str(out)]) == 0
+    assert out.read_text().startswith("<svg")
 
 
 @pytest.mark.parametrize("unit", ["0", "-5", "nan", "inf"])

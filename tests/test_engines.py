@@ -10,7 +10,7 @@ from dentedhex.engines import (RegionTooLarge, _count_bound, _dual_graph,
                                _hankel_det, _sweep, count_axis, count_brute,
                                _right_tilt_exponent, enumerate_tilings,
                                qcount_axis, qcount_brute)
-from dentedhex.exactnum import ExactnessError, QPoly
+from dentedhex.exactnum import ExactnessError, QPoly, digit_width
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
 from dentedhex.harness import demo_spec, engine_corpus, random_region_spec
 from dentedhex.theorems import crossing_subsets
@@ -284,9 +284,62 @@ def test_oracle_matches_axis_beyond_default_budget():
     assert qcount_brute(region, limit=150) == qcount_axis(hexagon)
 
 
+def _layer_sum(tris, partners, k):
+    """engines._matching_sum as the layer-by-layer DP it replaced.
+
+    Layer i maps the set of triangles >= i that a partial matching covers
+    (bit d: triangle i + d) to their summed value at q = 2^k, and step i
+    either shifts a covered triangle out or matches it with each free
+    partner j > i.
+    """
+    off = [min(w for _, w in ps) if t.up and ps else 0
+           for t, ps in zip(tris, partners)]
+    layer = {0: 1}
+    for i, ps in enumerate(partners):
+        nxt = {}
+        for state, v in layer.items():
+            if state & 1:
+                nxt[state >> 1] = nxt.get(state >> 1, 0) + v
+                continue
+            for j, w in ps:
+                if j > i and not state >> j - i & 1:
+                    s = (state | 1 << j - i) >> 1
+                    u = v << k * (w - off[i] - off[j])
+                    nxt[s] = nxt.get(s, 0) + u
+        layer = nxt
+    return layer.get(0, 0), sum(off)
+
+
+def _hand_region(*triangles):
+    return TriangularRegion(frozenset(Triangle(*t) for t in triangles),
+                            frozenset())
+
+
+def test_matching_sum_values_match_the_layer_dp():
+    empty = _hand_region()
+    # up(0,0) can only take down(0,0), so up(1,0) takes down(1,0)
+    one = _hand_region((0, 0, True), (0, 0, False), (1, 0, True),
+                       (1, 0, False))
+    # both up triangles have only down(0,0); down(3,0) touches neither
+    stuck = _hand_region((0, 0, True), (0, 0, False), (1, 0, True),
+                         (3, 0, False))
+    regions = [build_region(spec) for spec in engine_corpus(seed=7, size=300)]
+    regions += [build_region(demo_spec()), empty, one, stuck]
+    for region in regions:
+        graph = _dual_graph(region, _sweep)
+        for k in (0, 8 * digit_width(_count_bound(*graph))):
+            assert engines._matching_sum(*graph, k) == _layer_sum(*graph, k)
+    assert engines._matching_sum(*_dual_graph(empty, _sweep), 8) == (1, 0)
+    # its two right-tilting lozenges weigh q^2: q^low = q from up(0,0)'s
+    # only edge, and P(q) = q from up(1,0)'s heavier edge
+    assert engines._matching_sum(*_dual_graph(one, _sweep), 8) == (1 << 8, 1)
+    assert engines._matching_sum(*_dual_graph(stuck, _sweep), 0)[0] == 0
+
+
 def _widest_layer(tris, partners):
-    """The most states any layer of engines._matching_sum holds: its
-    transitions, with the values dropped."""
+    """The most states engines._matching_sum holds: the states alive when
+    step i starts, the maximum over i. They are layer i of the
+    layer-by-layer DP (see _layer_sum), run here with the values dropped."""
     layer, widest = {0}, 1
     for i, ps in enumerate(partners):
         bits = [1 << j - i for j, _ in ps if j > i]
