@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -28,14 +29,17 @@ from .theorems import asym_table, check_thm1, check_thm2, check_thm3
 RENDER_LIMIT = 100_000
 
 
-def _load_spec(path: str):
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_json_dict(json.load(fh))
+        return json.load(fh)
+
+
+def _load_spec(path: str):
+    return spec_from_json_dict(_read_json(path))
 
 
 def _load_clusters(path: str) -> ClusterSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if (not isinstance(obj, dict)
             or not isinstance(obj.get("clusters"), list)
             or not isinstance(obj.get("gaps"), list)
@@ -49,8 +53,9 @@ def _load_clusters(path: str) -> ClusterSpec:
 
 
 def _write(text: str, out: str | None):
+    """text to the file out, its line ends untranslated, else to stdout."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -76,22 +81,16 @@ def _brute_region(spec, limit: int | None):
 
 
 def _cmd_count(args) -> int:
+    """count or qcount: the region's tiling number or its q-polynomial,
+    printed in canonical form (a QPoly prints as its render())."""
     spec = _region_spec(args)
+    q = args.command == "qcount"
     if args.engine == "brute":
-        value = count_brute(_brute_region(spec, args.limit), limit=args.limit)
+        value = (qcount_brute if q else count_brute)(
+            _brute_region(spec, args.limit), limit=args.limit)
     else:
-        value = count_axis(spec)
+        value = (qcount_axis if q else count_axis)(spec)
     print(value)
-    return 0
-
-
-def _cmd_qcount(args) -> int:
-    spec = _region_spec(args)
-    if args.engine == "brute":
-        poly = qcount_brute(_brute_region(spec, args.limit), limit=args.limit)
-    else:
-        poly = qcount_axis(spec)
-    print(poly.render())
     return 0
 
 
@@ -131,25 +130,18 @@ def _cmd_asym(args) -> int:
     c = _load_clusters(args.clusters)
     c2 = _load_clusters(args.clusters_alt)
     table = asym_table(c, c2, args.x, args.y, args.nmax)
-
-    def emit(fh):
-        buf = csv.writer(fh)
-        header = ["N", "ratio", "limit", "deviation"]
+    buf = io.StringIO()
+    csv_out = csv.writer(buf)
+    header = ["N", "ratio", "limit", "deviation"]
+    if args.float:
+        header += ["ratio_float", "deviation_float"]
+    csv_out.writerow(header)
+    for row in table.rows:
+        line = [row.N, str(row.ratio), str(table.limit), str(row.deviation)]
         if args.float:
-            header += ["ratio_float", "deviation_float"]
-        buf.writerow(header)
-        for row in table.rows:
-            line = [row.N, str(row.ratio), str(table.limit),
-                    str(row.deviation)]
-            if args.float:
-                line += [float(row.ratio), float(row.deviation)]
-            buf.writerow(line)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
+            line += [float(row.ratio), float(row.deviation)]
+        csv_out.writerow(line)
+    _write(buf.getvalue(), args.out)
     return 0
 
 
@@ -216,18 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
                        "instead of --spec")
         p.add_argument("--y", type=int)
 
-    p = sub.add_parser("count", help="exact tiling count of a region")
-    add_region(p)
-    p.add_argument("--engine", choices=("axis", "brute"), default="axis")
-    p.add_argument("--limit", type=_int_at_least(0), default=None,
-                   help="brute-force triangle budget")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("qcount", help="tiling generating function in q")
-    add_region(p)
-    p.add_argument("--engine", choices=("axis", "brute"), default="axis")
-    p.add_argument("--limit", type=_int_at_least(0), default=None)
-    p.set_defaults(func=_cmd_qcount)
+    for name, text in (("count", "exact tiling count of a region"),
+                       ("qcount", "tiling generating function in q")):
+        p = sub.add_parser(name, help=text)
+        add_region(p)
+        p.add_argument("--engine", choices=("axis", "brute"), default="axis")
+        p.add_argument("--limit", type=_int_at_least(0), default=None,
+                       help="brute-force triangle budget")
+        p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("ratio", help="predicted count ratio of two regions")
     p.add_argument("--thm", type=int, choices=(1, 2, 3), required=True)

@@ -10,12 +10,12 @@ workers than there are tasks and CPUs.
 Each drawn suite is one row of _SUITES: its default count, a seeded draw,
 a payload function that rejects unusable draws, the check kinds run on
 each kept draw, its negative controls and any fixed leading tasks.
-build_suite runs one loop over a row; asym, three fixed tables sized by
-the count, comes from _asym_tasks. Each negative control is one row of
-_CONTROLS: a theorems check, run on a witness instance once with its
-validated prediction and once with a wrong one passed as rhs, and the
-witness itself, the first kept draw that satisfies the row's predicate or
-else the row's fallback. The control report passes when the first run
+build_suite runs one loop over a row; asym, three fixed tables of at most
+6 rows, fewer at a lower count, comes from _asym_tasks. Each negative
+control is one row of _CONTROLS: a theorems check, run on a witness
+instance once with its validated prediction and once with a wrong one
+passed as rhs, and the witness itself, the first kept draw that satisfies
+the row's predicate or else the row's fallback. The control report passes when the first run
 passes and the second fails. run_task is one lookup in _RUN, task kind ->
 run on the payload. A region payload is ValidatedSpec.to_json_dict(),
 read back by lattice.spec_from_json_dict. Nothing here times a task: the
@@ -57,7 +57,7 @@ def demo_spec() -> ValidatedSpec:
 # Bounds no caller varies: random_shuffle_instance's height and occupied
 # positions, and engine_corpus's shape bounds.
 SHUFFLE_MAX_Y, SHUFFLE_MAX_N = 3, 5
-CORPUS_BOUNDS = dict(max_L=8, max_y=2, max_u=2, max_d=2, max_b=1)
+CORPUS_BOUNDS = dict(max_L=8, max_y=2, max_dents=2, max_b=1)
 
 
 def _random_dents(rng: random.Random, min_L: int, max_L: int, max_n: int):
@@ -80,20 +80,26 @@ def _random_dents(rng: random.Random, min_L: int, max_L: int, max_n: int):
 
 
 def random_region_spec(rng: random.Random, max_L: int = 8, max_y: int = 2,
-                       max_u: int = 2, max_d: int = 2, max_b: int = 1,
-                       min_x: int = 0, min_y: int = 0) -> ValidatedSpec:
-    """One valid region spec, uniform-ish over the allowed shapes."""
+                       max_dents: int = 2, max_b: int = 1,
+                       min_xy: int = 0) -> ValidatedSpec:
+    """One valid region spec, uniform-ish over the allowed shapes.
+
+    The base length L = x + y + |U union D| is at most max_L, the height y
+    at most max_y, and U and D each hold at most max_dents positions. x and
+    y are both at least min_xy, and the barriers, at most max_b of them,
+    leave x - |B| >= min_xy. Draws outside the bounds are redrawn.
+    """
     while True:
-        L, n, union, U, D = _random_dents(rng, max(1, min_x + min_y), max_L,
-                                          max_u + max_d)
-        if len(U) > max_u or len(D) > max_d:
+        L, n, union, U, D = _random_dents(rng, max(1, 2 * min_xy), max_L,
+                                          2 * max_dents)
+        if len(U) > max_dents or len(D) > max_dents:
             continue
-        y = rng.randint(min_y, max_y)
+        y = rng.randint(min_xy, max_y)
         x = L - n - y
-        if x < min_x:
+        if x < min_xy:
             continue
         free = [k for k in range(1, L + 1) if k not in union]
-        cap = min(max_b, x - min_x, len(free))
+        cap = min(max_b, x - min_xy, len(free))
         nb = rng.randint(0, cap) if cap > 0 else 0
         B = sorted(rng.sample(free, nb))
         return make_spec(x, y, U, D, B)
@@ -138,12 +144,11 @@ def engine_corpus(seed: int = 7, size: int = 300) -> list[ValidatedSpec]:
     """
     rng = random.Random(seed)
     specs: list[ValidatedSpec] = []
-    seen: set[tuple] = set()
+    seen: set[ValidatedSpec] = set()
 
     def push(spec: ValidatedSpec):
-        key = (spec.x, spec.y, spec.U, spec.D, spec.B)
-        if key not in seen:
-            seen.add(key)
+        if spec not in seen:
+            seen.add(spec)
             specs.append(spec)
 
     push(make_spec(0, 0))
@@ -302,11 +307,11 @@ _SUITES: dict[str, _Suite] = {
     "thm3": _Suite(50, partial(random_shuffle_instance, max_L=10, max_b=1),
                    ShuffleInstance.to_json_dict, ("thm3",),
                    ("thm3_shift_control", "thm3_gap_control")),
-    "kuo": _Suite(20, partial(random_region_spec, max_L=10, max_y=3, max_u=3,
-                              max_d=3, max_b=1, min_x=1, min_y=1),
+    "kuo": _Suite(20, partial(random_region_spec, max_L=10, max_y=3,
+                              max_dents=3, max_b=1, min_xy=1),
                   _kuo_payload, ("kuo",)),
     "schur": _Suite(30, partial(random_region_spec, max_L=8, max_y=2,
-                                max_u=2, max_d=2, max_b=0),
+                                max_dents=2, max_b=0),
                     ValidatedSpec.to_json_dict, ("schur",)),
     "barrier": _Suite(2, partial(random_shuffle_instance, max_L=9, max_b=0),
                       _barrier_payload, ("barrier",),
@@ -316,8 +321,11 @@ _SUITES: dict[str, _Suite] = {
 
 def _asym_tasks(count: int | None) -> list[Task]:
     # strict_decay compares the last row with the first, so a table of
-    # one row would fail it whatever the counts: build at least two
-    n_max = max(2, count or 6)
+    # one row would fail it whatever the counts: build at least two. Row N
+    # counts a hexagon of side about N, and the time grows steeply with N
+    # (45 rows took 12.7 s and 60 over 100 s, Python 3.11 on one core of a
+    # 2-vCPU machine): a count shortens the tables, never past 6 rows
+    n_max = max(2, min(count or 6, 6))
     udu, uud = ["up", "down", "up"], ["up", "up", "down"]
     tables = (([[udu, ["down"]], [2]], [[uud, ["down"]], [2]], "strict_decay"),
               ([[udu, ["down"]], [2]], [[udu, ["down"]], [2]], "all_zero"),

@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -230,6 +231,33 @@ def test_asym_csv(tmp_path, capsys):
     assert rows[0].split(",")[:4] == ["N", "ratio", "limit", "deviation"]
     assert rows[1].split(",")[1] == "8/3"
     assert all(r.split(",")[2] == "2" for r in rows[1:])
+
+
+def test_asym_float_appends_two_columns_and_out_writes_stdout(tmp_path,
+                                                             capsys):
+    c = _spec_file(tmp_path, "c.json",
+                   {"clusters": [["up", "down", "up"], ["down"]], "gaps": [2]})
+    c2 = _spec_file(tmp_path, "c2.json",
+                    {"clusters": [["up", "up", "down"], ["down"]], "gaps": [2]})
+    argv = ["asym", "--clusters", c, "--clusters-alt", c2,
+            "--x", "1", "--y", "1", "--nmax", "3"]
+    outputs = {}
+    for extra in ([], ["--float"]):
+        assert main(argv + extra) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "table.csv"
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+        outputs[bool(extra)] = [r.split(",") for r in stdout.splitlines()]
+    exact, floats = outputs[False], outputs[True]
+    assert len(exact) == len(floats) == 4
+    assert [r[:4] for r in floats] == exact
+    assert floats[0][4:] == ["ratio_float", "deviation_float"]
+    for row, frow in zip(exact[1:], floats[1:]):
+        assert len(frow) == 6
+        assert float(frow[4]) == float(Fraction(row[1]))
+        assert float(frow[5]) == float(Fraction(row[3]))
 
 
 def test_render_cli(demo_file, tmp_path, capsys):

@@ -177,7 +177,7 @@ def test_tiling_order_is_pinned():
     # every tiling, in walk order, of 300 seeded regions (80,856 tilings);
     # the digest was recorded from the generator-stack walk
     rng = random.Random(5)
-    specs = [random_region_spec(rng, max_L=7, max_y=3, max_u=2, max_d=2,
+    specs = [random_region_spec(rng, max_L=7, max_y=3, max_dents=2,
                                 max_b=2) for _ in range(300)]
     digest = _sha256(
         [sorted(t) for t in enumerate_tilings(build_region(s),
@@ -195,7 +195,7 @@ def test_dual_graph_is_pinned():
         "f53d70c892a4a80cc7161b679ce5cb0cd79a8e3e87575decba11492301df92fb")
     rng = random.Random(11)
     barred = [build_region(s) for s in [demo_spec()] + [
-        random_region_spec(rng, max_L=9, max_y=3, max_u=3, max_d=3, max_b=3)
+        random_region_spec(rng, max_L=9, max_y=3, max_dents=3, max_b=3)
         for _ in range(100)]]
     # the barriers remove vertical edges from some of these graphs
     assert any(_dual_graph(r) != _dual_graph(

@@ -137,8 +137,8 @@ def test_check_kuo_random():
     rng = random.Random(53)
     done = 0
     while done < 8:
-        spec = random_region_spec(rng, max_L=9, max_y=3, max_u=3, max_d=3,
-                                  max_b=1, min_x=1, min_y=1)
+        spec = random_region_spec(rng, max_L=9, max_y=3, max_dents=3,
+                                  max_b=1, min_xy=1)
         if len(spec.B) >= spec.x:
             continue
         blocked = set(spec.U) | set(spec.D) | set(spec.B)
@@ -219,6 +219,15 @@ def test_asym_suite_passes_at_count_1():
     reports = run_suite("asym", count=1)
     assert [r.instance["n_max"] for r in reports] == [2, 2, 2]
     assert all(r.passed for r in reports)
+
+
+def test_asym_count_never_lengthens_the_tables():
+    # row N counts a hexagon of side about N, so a large count would run
+    # for hours; it may shorten the tables, never lengthen them past 6 rows
+    for count, rows in ((None, 6), (1, 2), (3, 3), (6, 6), (7, 6),
+                        (300, 6)):
+        tasks = build_suite("asym", count=count)
+        assert [p["n_max"] for _, p in tasks] == [rows] * 3
 
 
 def test_asym_table_reaches_n12():
