@@ -48,8 +48,7 @@ def _load_clusters(path: str) -> ClusterSpec:
                    for g in obj["gaps"])):
         raise SpecError("clusters JSON needs clusters and gaps: a list of "
                         "token lists and a list of integers")
-    return ClusterSpec(tuple(tuple(c) for c in obj["clusters"]),
-                       tuple(obj["gaps"]))
+    return ClusterSpec(obj["clusters"], obj["gaps"])
 
 
 def _write(text: str, out: str | None):
@@ -199,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "with axis barriers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec(p):
-        p.add_argument("--spec", required=True, help="region spec JSON file")
-
     def add_region(p):
         p.add_argument("--spec", help="region spec JSON file")
         p.add_argument("--x", type=int, help="pure hexagon (x, y), "
@@ -247,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_asym)
 
     p = sub.add_parser("render", help="SVG of a region or one tiling")
-    add_spec(p)
+    p.add_argument("--spec", required=True, help="region spec JSON file")
     p.add_argument("--tiling", type=_int_at_least(0), default=None,
                    help="index into the deterministic tiling enumeration")
     p.add_argument("--unit", type=_positive_float, default=24.0,

@@ -106,11 +106,11 @@ b <= -1; all other lozenges have weight 1.
 
 from __future__ import annotations
 
-from math import factorial, prod
+from math import prod
 from typing import Sequence
 
 from .exactnum import ExactnessError, QPoly, digit_width
-from .formulas import delta, schur_ones
+from .formulas import _factorials, delta, schur_ones
 from .lattice import (KIND_R, KIND_V, LOZENGE_MATES, Lozenge, Tiling,
                       Triangle, TriangularRegion, ValidatedSpec)
 
@@ -319,11 +319,6 @@ def _moments(weights: Sequence[int], nodes: Sequence[int], y: int) -> list[int]:
             out[m] += w
             w *= z
     return out
-
-
-def _factorials(lo: int, hi: int) -> int:
-    """prod of k! for lo <= k < hi."""
-    return prod(factorial(k) for k in range(lo, hi))
 
 
 def count_axis(spec: ValidatedSpec) -> int:

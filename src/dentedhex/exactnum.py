@@ -366,12 +366,8 @@ def one_minus_q_quotient(num_exps: Iterable[int], den_exps: Iterable[int]) -> QP
     """
     cn = Counter(int(a) for a in num_exps)
     cd = Counter(int(b) for b in den_exps)
-    for e in cn:
-        if e <= 0:
-            raise ValueError("factor exponents must be positive")
-    for e in cd:
-        if e <= 0:
-            raise ValueError("factor exponents must be positive")
+    if any(e <= 0 for e in (*cn, *cd)):
+        raise ValueError("factor exponents must be positive")
     common = cn & cd
     cn -= common
     cd -= common

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactnum import ExactnessError, QPoly, QRatio, one_minus_q_quotient
 from .lattice import (ClusterSpec, SpecError, ValidatedSpec, UP, DOWN,
@@ -28,12 +29,7 @@ def pp(a: int, b: int, c: int) -> int:
     The k-product telescopes, leaving the integer quotient
     prod (i+j+c-1) // prod (i+j-1) over i <= a, j <= b.
     """
-    c = max(c, 0)  # a box with no k-layers is an empty product
-    num = den = 1
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            num *= i + j + c - 1
-            den *= i + j - 1
+    num, den = map(prod, _pp_exponents(a, b, c))
     out, rem = divmod(num, den)
     if rem:
         raise ExactnessError(f"pp({a}, {b}, {c}) = {Fraction(num, den)} is "
@@ -42,8 +38,9 @@ def pp(a: int, b: int, c: int) -> int:
 
 
 def _pp_exponents(a: int, b: int, c: int) -> tuple[list[int], list[int]]:
-    """The factor exponents of pp_q(a, b, c): one pair per (i, j)."""
-    c = max(c, 0)  # as in pp: a box with no k-layers is an empty product
+    """The factors of pp(a, b, c), one pair per (i, j): the exponents of
+    pp_q's factors 1 - q^e."""
+    c = max(c, 0)  # a box with no k-layers is an empty product
     num = [i + j + c - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
     den = [i + j - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
     return num, den
@@ -57,6 +54,11 @@ def pp_q(a: int, b: int, c: int) -> QPoly:
     return one_minus_q_quotient(*_pp_exponents(a, b, c))
 
 
+def _factorials(lo: int, hi: int) -> int:
+    """prod of k! for lo <= k < hi."""
+    return prod(factorial(k) for k in range(lo, hi))
+
+
 def schur_ones(S: Sequence[int]) -> int:
     """prod (s_j-s_i)/(j-i): the dented-semihexagon count for dents S.
 
@@ -66,7 +68,7 @@ def schur_ones(S: Sequence[int]) -> int:
     for S = (s_1 < ... < s_a), by Weyl's dimension formula.
     """
     num = delta(S)
-    den = prod(factorial(k) for k in range(len(S)))
+    den = _factorials(0, len(S))
     out, rem = divmod(num, den)
     if rem:
         raise ExactnessError(f"schur_ones({tuple(S)}) = {Fraction(num, den)} "
@@ -87,9 +89,7 @@ def clp_q_dents(S: Sequence[int]) -> QPoly:
     if any(S[i] >= S[i + 1] for i in range(a - 1)):
         raise ValueError(f"clp_q_dents({tuple(S)}): dents must be strictly "
                          "increasing")
-    pairs = [(i, j) for j in range(a) for i in range(j)]
-    out = one_minus_q_quotient([S[j] - S[i] for i, j in pairs],
-                               [j - i for i, j in pairs])
+    out = one_minus_q_quotient(_gaps(S), _gaps(range(a)))
     out = out.shifted(sum((a - i) * (S[i] - i - 1) for i in range(a)))
     ones = schur_ones(S)
     if out.eval_one() != ones:
@@ -101,13 +101,14 @@ def clp_q_dents(S: Sequence[int]) -> QPoly:
     return out
 
 
+def _gaps(S: Sequence[int]) -> Iterator[int]:
+    """s_j - s_i over i < j, in the order of combinations(S, 2)."""
+    return (t - s for s, t in combinations(S, 2))
+
+
 def delta(S: Sequence[int]) -> int:
     """prod over i<j of (s_j - s_i)."""
-    out = 1
-    for i in range(len(S)):
-        for j in range(i + 1, len(S)):
-            out *= S[j] - S[i]
-    return out
+    return prod(_gaps(S))
 
 
 def delta_q(S: Sequence[int]) -> QPoly:
@@ -130,7 +131,7 @@ def _delta_q_product(sets: Sequence[Sequence[int]], num: Sequence[int] = (),
     pairs = low = 0
     for T in sets:
         n = len(T)
-        gaps += [T[j] - T[i] for j in range(n) for i in range(j)]
+        gaps += _gaps(T)
         pairs += n * (n - 1) // 2
         low += sum(t * (n - 1 - i) for i, t in enumerate(T))
     out = one_minus_q_quotient(gaps, den).shifted(low + shift)

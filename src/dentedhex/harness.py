@@ -58,6 +58,8 @@ def demo_spec() -> ValidatedSpec:
 # positions, and engine_corpus's shape bounds.
 SHUFFLE_MAX_Y, SHUFFLE_MAX_N = 3, 5
 CORPUS_BOUNDS = dict(max_L=8, max_y=2, max_dents=2, max_b=1)
+# the 46,006 distinct specs within CORPUS_BOUNDS and the L = 0 anchor
+CORPUS_MAX_SIZE = 46_007
 
 
 def _random_dents(rng: random.Random, min_L: int, max_L: int, max_n: int):
@@ -138,10 +140,14 @@ def engine_corpus(seed: int = 7, size: int = 300) -> list[ValidatedSpec]:
 
     Deterministic in the seed. Starts from fixed anchors (degenerate
     regions and pure hexagons) and fills up with random dented specs,
-    deduplicated, all within CORPUS_BOUNDS. Raises ValueError when
-    10 * size random draws leave it short: the bounds admit 46,006
-    distinct specs, so a large size needs the guard.
+    deduplicated, all within CORPUS_BOUNDS. Raises ValueError at once
+    when size exceeds CORPUS_MAX_SIZE, and when 10 * size random draws
+    leave it short.
     """
+    if size > CORPUS_MAX_SIZE:
+        raise ValueError(f"corpus: size {size} exceeds {CORPUS_MAX_SIZE}, "
+                         "the number of distinct specs within the corpus "
+                         "bounds")
     rng = random.Random(seed)
     specs: list[ValidatedSpec] = []
     seen: set[ValidatedSpec] = set()
@@ -183,13 +189,9 @@ def _inst_from_payload(p: dict) -> ShuffleInstance:
                            tuple(p["U2"]), tuple(p["D2"]), tuple(p["B"]))
 
 
-def _clusters_from_payload(p: Sequence) -> ClusterSpec:
-    return ClusterSpec(tuple(tuple(c) for c in p[0]), tuple(p[1]))
-
-
 def _run_asym(p: dict) -> CheckReport:
-    c = _clusters_from_payload(p["clusters"])
-    c2 = _clusters_from_payload(p["clusters2"])
+    c = ClusterSpec(*p["clusters"])
+    c2 = ClusterSpec(*p["clusters2"])
     table = asym_table(c, c2, p["x"], p["y"], p["n_max"])
     expect = p["expect"]
     devs = [abs(r.deviation) for r in table.rows]
@@ -360,7 +362,7 @@ def build_suite(name: str, seed: int = 7,
     return tasks
 
 
-SUITE_NAMES = ("thm1", "thm2", "thm3", "kuo", "schur", "barrier", "asym")
+SUITE_NAMES = (*_SUITES, "asym")
 
 
 def run_suite(name: str, seed: int = 7, count: int | None = None,

@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Sequence
 
 from .engines import count_axis, count_brute, qcount_axis
 from .exactnum import QRatio
@@ -106,13 +107,8 @@ def check_barrier_independence(inst: ShuffleInstance,
         a = count_axis(make_spec(inst.x, inst.y, inst.U, inst.D, tuple(B)))
         b = count_axis(make_spec(inst.x, inst.y, inst.U2, inst.D2, tuple(B)))
         counts.append((a, b))
-    passed = True
-    for i in range(len(counts)):
-        for j in range(i + 1, len(counts)):
-            ai, bi = counts[i]
-            aj, bj = counts[j]
-            if ai * bj != aj * bi:
-                passed = False
+    passed = all(ai * bj == aj * bi
+                 for (ai, bi), (aj, bj) in combinations(counts, 2))
     instance = dict(inst.to_json_dict(),
                     barrier_sets=[list(B) for B in barrier_sets])
     lhs = ";".join(f"{a}/{b}" for a, b in counts)
@@ -163,20 +159,9 @@ def check_kuo(spec: ValidatedSpec) -> CheckReport:
     return CheckReport("kuo", instance, str(lhs), str(rhs), lhs == rhs)
 
 
-def crossing_subsets(free: Sequence[int], y: int) -> Iterator[tuple[int, ...]]:
+def crossing_subsets(free: Sequence[int], y: int) -> list[tuple[int, ...]]:
     """y-subsets of the free positions in colexicographic order."""
-    items = tuple(free)
-
-    def colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
-        if k == 0:
-            yield ()
-            return
-        for last in range(k - 1, n):
-            for rest in colex(last, k - 1):
-                yield rest + (last,)
-
-    for idxs in colex(len(items), y):
-        yield tuple(items[i] for i in idxs)
+    return sorted(combinations(free, y), key=lambda S: S[::-1])
 
 
 def check_schur_sum(spec: ValidatedSpec) -> CheckReport:

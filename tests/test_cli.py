@@ -400,6 +400,20 @@ def test_corpus_short_of_size_exits_1(distinct, monkeypatch, capsys):
     assert "short of size 50" in captured.err
 
 
+def test_corpus_above_the_spec_count_exits_1_before_drawing(monkeypatch,
+                                                           capsys):
+    def draw(rng, **bounds):
+        raise AssertionError("drew a spec")
+
+    monkeypatch.setattr(harness, "random_region_spec", draw)
+    start = time.perf_counter()
+    assert main(["corpus", "--size", "1000000"]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds {harness.CORPUS_MAX_SIZE}" in captured.err
+
+
 def test_public_api_names_resolve():
     for name in dentedhex.__all__:
         assert hasattr(dentedhex, name), name

@@ -272,6 +272,13 @@ def test_one_minus_q_quotient_matches_divexact():
         assert one_minus_q_quotient(num, den) == prod_num.divexact(prod_den)
 
 
+def test_one_minus_q_quotient_refuses_nonpositive_exponents():
+    # 1 - q^0 is zero, and a negative exponent is no factor of this form
+    for num, den in (([0], []), ([], [0]), ([2], [-1]), ([-2], [1])):
+        with pytest.raises(ValueError):
+            one_minus_q_quotient(num, den)
+
+
 def test_render_canonical():
     p = QPoly.monomial(-1) + 2 + QPoly.monomial(2)
     assert p.render() == "1*q^-1 + 2 + 1*q^2"
@@ -290,12 +297,20 @@ def test_qratio_eq():
 def test_qratio_zero_denominator():
     with pytest.raises(ZeroDenominator):
         QRatio(q, QPoly.zero())
+    # the denominator vanishes to a higher order at q = 1 than the numerator
+    with pytest.raises(ZeroDenominator):
+        QRatio(q - 1, (q - 1) * (q - 1)).limit_at_one()
 
 
 def test_qratio_limit_at_one():
     r = QRatio((QPoly.monomial(2) - 1) * (q - 1), (q - 1) * (q - 1) * 3)
     # (q+1)/3 at q=1
     assert r.limit_at_one() == Fraction(2, 3)
+    inv = QPoly.monomial(-1) - 1
+    assert QRatio(inv, q - 1).limit_at_one() == -1  # -1/q, a Laurent input
+    assert QRatio(QPoly.zero(), q - 1).limit_at_one() == 0
+    # (q - 1)^2 / q^2 over (q - 1)^2: both sides vanish to order 2
+    assert QRatio(inv * inv, (q - 1) * (q - 1)).limit_at_one() == 1
 
 
 def test_equal_values_hash_equal():

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
-from dentedhex.harness import demo_spec, engine_corpus, random_region_spec
+from dentedhex.harness import (CORPUS_BOUNDS, CORPUS_MAX_SIZE, demo_spec,
+                               engine_corpus, random_region_spec)
 from dentedhex.lattice import (LOZENGE_MATES, BarrierOverlap, ClusterSpec,
                                DuplicateEntry, GeometryMismatch, Lozenge,
                                NotSorted, PositionOutOfRange, SpecError,
@@ -239,3 +241,33 @@ def test_triangle_count_needs_no_region():
 def test_degenerate_regions():
     assert len(build_region(make_spec(0, 0)).triangles) == 0
     assert len(build_region(make_spec(1, 0)).triangles) == 0
+
+
+def _specs_within_corpus_bounds() -> set:
+    """Every spec random_region_spec can return under CORPUS_BOUNDS, by
+    enumerating its choices: L, the occupied positions and the side of
+    each, y, and the barriers."""
+    max_dents, max_b = CORPUS_BOUNDS["max_dents"], CORPUS_BOUNDS["max_b"]
+    out = set()
+    for L in range(1, CORPUS_BOUNDS["max_L"] + 1):
+        for n in range(min(2 * max_dents, L) + 1):
+            for union in combinations(range(1, L + 1), n):
+                free = [k for k in range(1, L + 1) if k not in union]
+                for sides in product(("U", "D", "UD"), repeat=n):
+                    U = [p for p, s in zip(union, sides) if "U" in s]
+                    D = [p for p, s in zip(union, sides) if "D" in s]
+                    if len(U) > max_dents or len(D) > max_dents:
+                        continue
+                    for y in range(min(CORPUS_BOUNDS["max_y"], L - n) + 1):
+                        x = L - n - y
+                        for nb in range(min(max_b, x, len(free)) + 1):
+                            out.update(make_spec(x, y, U, D, B)
+                                       for B in combinations(free, nb))
+    return out
+
+
+def test_corpus_max_size_counts_every_spec_within_the_bounds():
+    specs = _specs_within_corpus_bounds()
+    # the L = 0 anchor is the one corpus spec no draw can give
+    assert len(specs) + 1 == CORPUS_MAX_SIZE == 46_007
+    assert set(engine_corpus(seed=7)) - specs == {make_spec(0, 0)}
