@@ -40,9 +40,10 @@ use. The flat make_spec(300, 2) (2,408 triangles) peaks at 10 states,
 the tall make_spec(2, 12) (384 triangles) at 91 and make_spec(8, 8) (384
 triangles) at 12,870; sorted (a, b, up) order would keep 10, 1,105 and
 22,308. make_spec(8, 8) counts in 0.25-0.5 s and 18 MB of peak RSS,
-make_spec(10, 10) in about 8 s and 57 MB. The q-count of
-make_spec(8, 8), packed in 20-byte digits, takes 1.7-1.9 s and 147 MB
-(Python 3.11, one core of a shared 2-vCPU machine).
+make_spec(10, 10) in 14.4-14.9 s and 57 MB (two fresh processes, load
+average under 0.6). The q-count of make_spec(8, 8), packed in 20-byte
+digits, takes 1.7-1.9 s and 147 MB (Python 3.11, one core of a shared
+2-vCPU machine).
 BRUTE_LIMIT stays at 120 triangles all the same: it also guards
 enumerate_tilings, which is exponential, and the CLI tests rely on it to
 refuse rendering a tiling of the 298-triangle demo region. Callers that

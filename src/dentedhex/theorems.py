@@ -29,7 +29,7 @@ from .exactnum import QRatio
 from .formulas import (ClusterSpec, IncompatibleClusters, ShuffleInstance,
                        asym_rhs, gen_shuffle_rhs, q_shuffle_rhs, schur_ones,
                        shuffle_rhs)
-from .lattice import (SpecError, ValidatedSpec, build_region,
+from .lattice import (UP, SpecError, ValidatedSpec, build_region,
                       clusters_to_spec, make_spec)
 
 
@@ -211,12 +211,13 @@ def asym_table(c: ClusterSpec, c2: ClusterSpec, x: int, y: int,
     in count_axis.
     """
     limit = asym_rhs(c, c2)
-    ups = sum(tok == "up" for cl in c.clusters for tok in cl)
-    ups2 = sum(tok == "up" for cl in c2.clusters for tok in cl)
-    if ups != ups2:
-        # orientation flips change the hexagon data with the scale, so the
-        # finite ratios have no common limit to compare against
-        raise IncompatibleClusters("total up counts differ between the sides")
+    # a pair of dents in different clusters gives a factor that grows with
+    # the scale; these cancel between the sides only when every cluster
+    # keeps its up count, and asym_rhs is the limit only then
+    for k, (a, b) in enumerate(zip(c.clusters, c2.clusters)):
+        if a.count(UP) != b.count(UP):
+            raise IncompatibleClusters(f"up counts differ in clusters[{k}]: "
+                                       f"{a.count(UP)} vs {b.count(UP)}")
     rows = []
     for N in range(1, n_max + 1):
         spec_a = clusters_to_spec(_scaled(c, N), N * x, N * y)

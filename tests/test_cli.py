@@ -1,8 +1,11 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +222,43 @@ def test_verify_jobs_deterministic(capsys):
     assert out1 == out2
 
 
+_POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
+
+
+def _fresh_cli(*argvs):
+    """Run main on each argv in one fresh interpreter that reports two CPUs:
+    its stdout, and which of _POOL_MODULES it loaded."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = ("import json, os, sys\n"
+              "from dentedhex.cli import main\n"
+              "os.cpu_count = lambda: 2\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    if main(argv):\n"
+              "        sys.exit(1)\n"
+              f"print(json.dumps([m for m in {_POOL_MODULES!r}\n"
+              "                  if m in sys.modules]), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, json.loads(proc.stderr)
+
+
+def test_only_worker_runs_import_the_process_pool(capsys):
+    # pytest has loaded multiprocessing already, so each run starts afresh
+    out, loaded = _fresh_cli(["count", "--x", "3", "--y", "3"],
+                             ["verify", "--suite", "thm1", "--count", "1"])
+    assert loaded == []
+    assert out.startswith(f"{pp(3, 3, 3)}\n")
+    assert main(["verify", "--suite", "thm3", "--count", "3", "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    out, loaded = _fresh_cli(["verify", "--suite", "thm3", "--count", "3",
+                              "--jobs", "2"])
+    assert loaded == _POOL_MODULES
+    assert out == serial
+
+
 def test_asym_csv(tmp_path, capsys):
     c = _spec_file(tmp_path, "c.json",
                    {"clusters": [["up", "down", "up"], ["down"]], "gaps": [2]})
@@ -258,6 +298,28 @@ def test_asym_float_appends_two_columns_and_out_writes_stdout(tmp_path,
         assert len(frow) == 6
         assert float(frow[4]) == float(Fraction(row[1]))
         assert float(frow[5]) == float(Fraction(row[3]))
+
+
+@pytest.mark.parametrize("clusters, clusters2, gaps, err", [
+    # the same total of up dents, one moved from cluster 0 to cluster 1:
+    # the ratios go to 0 (5/27, 7/64, 9/125, 11/216), not to asym_rhs = 1
+    ([["up", "up"], ["down", "down"], ["up"]],
+     [["up", "down"], ["up", "down"], ["up"]], [1, 1],
+     "up counts differ in clusters[0]: 2 vs 1"),
+    # a flipped dent changes the total as well
+    ([["down"], ["up"]], [["down"], ["down"]], [2],
+     "up counts differ in clusters[1]: 1 vs 0"),
+], ids=["moved", "flipped"])
+def test_asym_refuses_up_dents_moved_between_clusters(tmp_path, clusters,
+                                                      clusters2, gaps, err,
+                                                      capsys):
+    c = _spec_file(tmp_path, "c.json", {"clusters": clusters, "gaps": gaps})
+    c2 = _spec_file(tmp_path, "c2.json", {"clusters": clusters2, "gaps": gaps})
+    assert main(["asym", "--clusters", c, "--clusters-alt", c2,
+                 "--x", "1", "--y", "1", "--nmax", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 def test_render_cli(demo_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -10,7 +11,6 @@ from dentedhex.engines import qcount_axis, qcount_brute
 from dentedhex.formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
                                 _q_shuffle_rhs_alt_shift,
                                 _q_shuffle_rhs_integer_gap, shuffle_rhs)
-import dentedhex.harness as harness
 from dentedhex.harness import (SUITE_NAMES, build_suite, demo_spec,
                                random_region_spec, random_shuffle_instance,
                                run_suite, run_task)
@@ -312,7 +312,9 @@ def test_run_suite_pool_is_no_larger_than_tasks_and_cpus(monkeypatch, cpus,
             return map(fn, tasks)
 
     serial = run_suite("thm3", count=3, jobs=1)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    # run_suite imports the pool class from its module only when it starts
+    # workers, so the stand-in replaces it there
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     # thm3 at count 3 is 3 checks and 2 controls; one worker runs serially
     reports = run_suite("thm3", count=3, jobs=10_000)
