@@ -16,6 +16,14 @@ rendering: depth first over the same edges, on an explicit state stack,
 in sorted (a, b, up) order, which fixes the order of the tilings it
 lists.
 
+_dual_graph lists each edge once, as a forward move (j, w) of its
+earlier end i < j, and with it each up triangle's least edge weight and
+degree. When i is the lowest uncovered triangle, every partner before it
+is already covered, so forward moves are all that the DP and the walk
+ever take. Step i of the DP loops over i's moves outside its states: a
+move's bit mask and shift are computed once per step, not once per
+state. Each call builds its own graph; nothing is cached between calls.
+
 Both run one DP on plain ints, with the q-weights evaluated at q = 2^k:
 matching along an edge of weight w shifts a value left by k*w bits, and
 count_brute is k = 0. Each up triangle is matched exactly once, so its
@@ -39,11 +47,11 @@ states: which x of the x + y crossings of one lattice line its paths
 use. The flat make_spec(300, 2) (2,408 triangles) peaks at 10 states,
 the tall make_spec(2, 12) (384 triangles) at 91 and make_spec(8, 8) (384
 triangles) at 12,870; sorted (a, b, up) order would keep 10, 1,105 and
-22,308. make_spec(8, 8) counts in 0.25-0.5 s and 18 MB of peak RSS,
-make_spec(10, 10) in 14.4-14.9 s and 57 MB (two fresh processes, load
-average under 0.6). The q-count of make_spec(8, 8), packed in 20-byte
-digits, takes 1.7-1.9 s and 147 MB (Python 3.11, one core of a shared
-2-vCPU machine).
+22,308. make_spec(8, 8) counts in 0.22-0.45 s and 18 MB of peak RSS
+(eight fresh processes), make_spec(10, 10) in 9.8-11.2 s and 57 MB (two
+fresh processes). The q-count of make_spec(8, 8), packed in 20-byte
+digits, takes 2.4 s and 146 MB (two fresh processes). Python 3.11, one
+core of a shared 2-vCPU machine, load average under 1.
 BRUTE_LIMIT stays at 120 triangles all the same: it also guards
 enumerate_tilings, which is exponential, and the CLI tests rely on it to
 refuse rendering a tiling of the 298-triangle demo region. Callers that
@@ -133,30 +141,48 @@ def _sweep(t: Triangle):
 
 
 def _dual_graph(region: TriangularRegion, key=None):
-    """Triangle list sorted by key plus, per triangle, its partner
-    (index, weight).
+    """The dual graph in key order: (tris, moves, off, degrees).
+
+    moves[i] lists triangle i's forward moves, (j, w) for each partner
+    j > i in ascending j, w the edge's weight: each edge is listed once, at
+    its earlier end. off[i] is an up triangle's least edge weight (0 with
+    no edge) and 0 for a down triangle. degrees lists the up triangles'
+    degrees.
 
     An up triangle's mates come from LOZENGE_MATES, looked up as plain
-    (a, b, up) tuples, which hash and compare as the Triangle they stand for.
+    (a, b, up) tuples, which hash and compare as the Triangle they stand
+    for. A down triangle's moves come from the up triangles after it,
+    which are reached in ascending order, so only an up triangle's own
+    moves need sorting.
     """
     tris = sorted(region.triangles, key=key)
     index = {t: i for i, t in enumerate(tris)}
-    partners: list[list[tuple[int, int]]] = [[] for _ in tris]
+    moves: list[list[tuple[int, int]]] = [[] for _ in tris]
+    off = [0] * len(tris)
+    degrees = []
     barred = region.forbidden_vertical
     for i, (a, b, up) in enumerate(tris):
         if not up:
             continue
+        tilt = _right_tilt_exponent(b)
+        row, degree, low = moves[i], 0, 0
         for kind, da, db in LOZENGE_MATES:
             if kind == KIND_V and b == 0 and a + 1 in barred:
                 continue
             j = index.get((a + da, b + db, False))
             if j is not None:
-                w = _right_tilt_exponent(b) if kind == KIND_R else 0
-                partners[i].append((j, w))
-                partners[j].append((i, w))
-    for ps in partners:
-        ps.sort()
-    return tris, partners
+                w = tilt if kind == KIND_R else 0
+                if j > i:
+                    row.append((j, w))
+                else:
+                    moves[j].append((i, w))
+                if not degree or w < low:
+                    low = w
+                degree += 1
+        row.sort()
+        off[i] = low
+        degrees.append(degree)
+    return tris, moves, off, degrees
 
 
 def check_size(m: int, limit: int | None) -> int:
@@ -169,38 +195,37 @@ def check_size(m: int, limit: int | None) -> int:
     return m
 
 
-def _matching_sum(tris, partners, k: int) -> tuple[int, int]:
+def _matching_sum(moves, off, k: int) -> tuple[int, int]:
     """(P(2^k), low), where q^low * P(q) sums the q-weights of the perfect
-    matchings of the dual graph; k = 0 gives the number of matchings.
+    matchings of the dual graph given by its forward moves and offsets
+    (_dual_graph); k = 0 gives the number of matchings.
 
     Each up triangle is matched exactly once, so subtracting its least
-    edge weight from all of its edges takes q^low out of every matching,
-    low the sum of those least weights, and leaves every shift k * w >= 0.
-    Down triangles are offset by 0.
+    edge weight off[i] from all of its edges takes q^low out of every
+    matching, low the sum of those least weights, and leaves every shift
+    k * w >= 0. Down triangles are offset by 0.
 
     A partial matching is extended only at its lowest uncovered triangle,
-    the order enumerate_tilings' DFS walks. pending[i] holds the partial
-    matchings whose lowest uncovered triangle is i: it maps the covered
-    set, bit d for triangle i + d, to their summed value at q = 2^k. Step
-    i matches triangle i with each free partner j > i, the value times
-    2^(k * w), and files the result under its new lowest uncovered
-    triangle, i plus the trailing one bits of the new set. The full
-    region is the state 0 of pending[m]; for the empty region that is
-    pending[0], worth 1.
+    the order enumerate_tilings' DFS walks; its back partners are all
+    covered then, so only forward moves can extend it. pending[i] holds
+    the partial matchings whose lowest uncovered triangle is i: it maps the
+    covered set, bit d for triangle i + d, to their summed value at
+    q = 2^k. Step i matches triangle i with each free partner j > i, the
+    value times 2^(k * w), and files the result under its new lowest
+    uncovered triangle, i plus the trailing one bits of the new set. The
+    full region is the state 0 of pending[m]; for the empty region that
+    is pending[0], worth 1.
     """
-    off = [min(w for _, w in ps) if t.up and ps else 0
-           for t, ps in zip(tris, partners)]
-    pending: list[dict[int, int] | None] = [{} for _ in range(len(tris) + 1)]
+    pending: list[dict[int, int] | None] = [{} for _ in range(len(moves) + 1)]
     pending[0][0] = 1
-    for i, ps in enumerate(partners):
+    for i, ms in enumerate(moves):
         states, pending[i] = pending[i], None  # freed once stepped
         if not states:
             continue
-        # bits: triangle i and its partner j
-        mates = [(1 << j - i | 1, k * (w - off[i] - off[j]))
-                 for j, w in ps if j > i]
-        for state, v in states.items():
-            for bits, shift in mates:
+        for j, w in ms:
+            bits = 1 << j - i | 1  # triangle i and its partner j
+            shift = k * (w - off[i] - off[j])
+            for state, v in states.items():
                 if not state & bits:
                     s = state | bits
                     t = (s ^ s + 1).bit_length() - 1  # trailing ones
@@ -215,10 +240,11 @@ def _matching_sum(tris, partners, k: int) -> tuple[int, int]:
 def count_brute(region: TriangularRegion, limit: int | None = None) -> int:
     """Number of perfect matchings of the dual graph; empty region -> 1."""
     check_size(len(region.triangles), limit)
-    return _matching_sum(*_dual_graph(region, _sweep), 0)[0]
+    _, moves, off, _ = _dual_graph(region, _sweep)
+    return _matching_sum(moves, off, 0)[0]
 
 
-def _count_bound(tris, partners) -> int:
+def _count_bound(degrees) -> int:
     """A power of two at least the number of perfect matchings.
 
     That number is the permanent of the 0-1 up x down adjacency matrix,
@@ -227,8 +253,7 @@ def _count_bound(tris, partners) -> int:
     B6 = prod (d!)^(6/d) (d <= 3), below 2^bits(B6), so the bound
     2^ceil(bits(B6) / 6) holds. It costs no pass over the matchings.
     """
-    b6 = prod((1, 1, 8, 36)[len(ps)]
-              for t, ps in zip(tris, partners) if t.up)
+    b6 = prod((1, 1, 8, 36)[d] for d in degrees)
     return 1 << (b6.bit_length() + 5) // 6
 
 
@@ -240,9 +265,9 @@ def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     back negative.
     """
     check_size(len(region.triangles), limit)
-    tris, partners = _dual_graph(region, _sweep)
-    width = digit_width(_count_bound(tris, partners))
-    n, low = _matching_sum(tris, partners, 8 * width)
+    _, moves, off, degrees = _dual_graph(region, _sweep)
+    width = digit_width(_count_bound(degrees))
+    n, low = _matching_sum(moves, off, 8 * width)
     out = QPoly.from_packed(n, width, low)
     if any(v < 0 for _, v in out.items()):
         raise ExactnessError("qcount_brute: a packed coefficient overflowed "
@@ -256,16 +281,16 @@ def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
     m = check_size(len(region.triangles), max_triangles)
     if m % 2:
         return []
-    tris, partners = _dual_graph(region)
+    tris, moves, _, _ = _dual_graph(region)
     kind_of = {(da, db): kind for kind, da, db in LOZENGE_MATES}
-    moves = []  # per triangle, one (bits, lozenge) per partner
-    for i, (t, ps) in enumerate(zip(tris, partners)):
+    pushes = []  # per triangle, one (bits, lozenge) per forward move
+    for i, (t, ms) in enumerate(zip(tris, moves)):
         row = []
-        for j, _ in ps:
+        for j, _ in ms:
             up, down = (t, tris[j]) if t.up else (tris[j], t)
             loz = Lozenge(kind_of[down.a - up.a, down.b - up.b], up.a, up.b)
             row.append((1 << i | 1 << j, loz))
-        moves.append(row[::-1])  # pushed last to first, popped in order
+        pushes.append(row[::-1])  # pushed last to first, popped in order
     full = (1 << m) - 1
     out: list[Tiling] = []
     stack = [(0, None)]  # (covered, partial tiling as (lozenge, rest) pairs)
@@ -279,7 +304,8 @@ def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
             out.append(Tiling(lozenges))
             continue
         i = (~covered & covered + 1).bit_length() - 1  # lowest uncovered
-        for bits, loz in moves[i]:
+        # i's partners before it are covered: only forward moves are free
+        for bits, loz in pushes[i]:
             if not covered & bits:
                 stack.append((covered | bits, (loz, chain)))
     return out

@@ -291,7 +291,9 @@ def asym_rhs(c: ClusterSpec, c2: ClusterSpec) -> Fraction:
     """Limit ratio for cluster shuffles as the hexagon and gaps scale:
     the product over clusters of (s+ s-) / (s+' s-'), where s+ and s- count
     the dented semihexagons of a cluster's up and of its down dents, at
-    positions local to the cluster."""
+    positions local to the cluster. The clusters must match in number,
+    lengths, gaps and, cluster by cluster, up count; IncompatibleClusters
+    otherwise."""
     if len(c.clusters) != len(c2.clusters):
         raise IncompatibleClusters("different numbers of clusters")
     if c.lengths != c2.lengths:
@@ -299,6 +301,13 @@ def asym_rhs(c: ClusterSpec, c2: ClusterSpec) -> Fraction:
             f"cluster lengths differ: {c.lengths} vs {c2.lengths}")
     if c.gaps != c2.gaps:
         raise IncompatibleClusters(f"gaps differ: {c.gaps} vs {c2.gaps}")
+    # a pair of dents in different clusters gives a factor that grows with
+    # the scale; these cancel between the sides only when every cluster
+    # keeps its up count, and the product is the limit only then
+    for k, (a, b) in enumerate(zip(c.clusters, c2.clusters)):
+        if a.count(UP) != b.count(UP):
+            raise IncompatibleClusters(f"up counts differ in clusters[{k}]: "
+                                       f"{a.count(UP)} vs {b.count(UP)}")
     out = Fraction(1)
     for a, b in zip(c.clusters, c2.clusters):
         for tok in (UP, DOWN):

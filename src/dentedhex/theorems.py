@@ -26,10 +26,9 @@ from typing import Callable, Sequence
 
 from .engines import count_axis, count_brute, qcount_axis
 from .exactnum import QRatio
-from .formulas import (ClusterSpec, IncompatibleClusters, ShuffleInstance,
-                       asym_rhs, gen_shuffle_rhs, q_shuffle_rhs, schur_ones,
-                       shuffle_rhs)
-from .lattice import (UP, SpecError, ValidatedSpec, build_region,
+from .formulas import (ClusterSpec, ShuffleInstance, asym_rhs,
+                       gen_shuffle_rhs, q_shuffle_rhs, schur_ones, shuffle_rhs)
+from .lattice import (SpecError, ValidatedSpec, build_region,
                       clusters_to_spec, make_spec)
 
 
@@ -211,13 +210,6 @@ def asym_table(c: ClusterSpec, c2: ClusterSpec, x: int, y: int,
     in count_axis.
     """
     limit = asym_rhs(c, c2)
-    # a pair of dents in different clusters gives a factor that grows with
-    # the scale; these cancel between the sides only when every cluster
-    # keeps its up count, and asym_rhs is the limit only then
-    for k, (a, b) in enumerate(zip(c.clusters, c2.clusters)):
-        if a.count(UP) != b.count(UP):
-            raise IncompatibleClusters(f"up counts differ in clusters[{k}]: "
-                                       f"{a.count(UP)} vs {b.count(UP)}")
     rows = []
     for N in range(1, n_max + 1):
         spec_a = clusters_to_spec(_scaled(c, N), N * x, N * y)

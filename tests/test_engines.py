@@ -14,8 +14,8 @@ from dentedhex.exactnum import ExactnessError, QPoly, digit_width
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
 from dentedhex.harness import demo_spec, engine_corpus, random_region_spec
 from dentedhex.theorems import crossing_subsets
-from dentedhex.lattice import (Triangle, TriangularRegion, build_region,
-                               lozenge_triangles, make_spec,
+from dentedhex.lattice import (LOZENGE_MATES, Triangle, TriangularRegion,
+                               build_region, lozenge_triangles, make_spec,
                                reflect_positions)
 
 
@@ -187,11 +187,26 @@ def test_tiling_order_is_pinned():
                       "b3402504293fdf934f85d87febdd3d39")
 
 
+def _partners(region, key=None):
+    """The triangles and, per triangle, its sorted partner (index, weight)
+    list, both ends of each edge: the graph as _dual_graph returned it
+    before it listed each edge once, as a forward move."""
+    tris, moves, _, _ = _dual_graph(region, key)
+    partners = [[] for _ in tris]
+    for i, ms in enumerate(moves):
+        for j, w in ms:
+            partners[i].append((j, w))
+            partners[j].append((i, w))
+    for ps in partners:
+        ps.sort()
+    return tris, partners
+
+
 def test_dual_graph_is_pinned():
     # triangles, partner indices and weights, recorded before the mates
     # came from lattice.LOZENGE_MATES
     corpus = [build_region(s) for s in engine_corpus(seed=7, size=300)]
-    assert _sha256(map(_dual_graph, corpus)) == (
+    assert _sha256(map(_partners, corpus)) == (
         "f53d70c892a4a80cc7161b679ce5cb0cd79a8e3e87575decba11492301df92fb")
     rng = random.Random(11)
     barred = [build_region(s) for s in [demo_spec()] + [
@@ -200,7 +215,7 @@ def test_dual_graph_is_pinned():
     # the barriers remove vertical edges from some of these graphs
     assert any(_dual_graph(r) != _dual_graph(
         TriangularRegion(r.triangles, frozenset())) for r in barred)
-    assert _sha256(map(_dual_graph, barred)) == (
+    assert _sha256(map(_partners, barred)) == (
         "cb641cc212d8355de71e4bb46479ecdb814ade90c076a7e267314337cb820c46")
 
 
@@ -315,25 +330,96 @@ def _hand_region(*triangles):
                             frozenset())
 
 
-def test_matching_sum_values_match_the_layer_dp():
-    empty = _hand_region()
-    # up(0,0) can only take down(0,0), so up(1,0) takes down(1,0)
-    one = _hand_region((0, 0, True), (0, 0, False), (1, 0, True),
-                       (1, 0, False))
-    # both up triangles have only down(0,0); down(3,0) touches neither
-    stuck = _hand_region((0, 0, True), (0, 0, False), (1, 0, True),
-                         (3, 0, False))
+EMPTY = _hand_region()
+# up(0,0) can only take down(0,0), so up(1,0) takes down(1,0)
+ONE = _hand_region((0, 0, True), (0, 0, False), (1, 0, True), (1, 0, False))
+# both up triangles have only down(0,0); down(3,0) touches neither
+STUCK = _hand_region((0, 0, True), (0, 0, False), (1, 0, True),
+                     (3, 0, False))
+
+
+def _graph_corpus():
+    """engine_corpus(seed=7), the demo region and the hand-built regions."""
     regions = [build_region(spec) for spec in engine_corpus(seed=7, size=300)]
-    regions += [build_region(demo_spec()), empty, one, stuck]
+    return regions + [build_region(demo_spec()), EMPTY, ONE, STUCK]
+
+
+def _mates_edges(region):
+    """{(up, down): weight} for each edge of the dual graph, read off
+    lattice.LOZENGE_MATES: a barrier at position p removes the vertical
+    edge of up(p - 1, 0)."""
+    out = {}
+    for t in region.triangles:
+        if not t.up:
+            continue
+        for kind, da, db in LOZENGE_MATES:
+            down = Triangle(t.a + da, t.b + db, False)
+            if down not in region.triangles or (
+                    kind == "V" and t.b == 0
+                    and t.a + 1 in region.forbidden_vertical):
+                continue
+            out[t, down] = _right_tilt_exponent(t.b) if kind == "R" else 0
+    return out
+
+
+def _move_edges(tris, moves):
+    """{(up, down): weight} for each forward move; each edge once."""
+    out = {}
+    for i, ms in enumerate(moves):
+        assert [j for j, _ in ms] == sorted({j for j, _ in ms})
+        for j, w in ms:
+            assert j > i
+            t, u = tris[i], tris[j]
+            pair = (t, u) if t.up else (u, t)
+            assert pair not in out
+            out[pair] = w
+    return out
+
+
+def test_dual_graph_lists_each_edge_once_as_a_forward_move():
+    regions = _graph_corpus()
     for region in regions:
-        graph = _dual_graph(region, _sweep)
-        for k in (0, 8 * digit_width(_count_bound(*graph))):
-            assert engines._matching_sum(*graph, k) == _layer_sum(*graph, k)
-    assert engines._matching_sum(*_dual_graph(empty, _sweep), 8) == (1, 0)
+        edges = _mates_edges(region)
+        for key in (None, _sweep):
+            tris, moves, off, degrees = _dual_graph(region, key)
+            assert tris == sorted(region.triangles, key=key)
+            assert _move_edges(tris, moves) == edges
+            assert sum(degrees) == sum(map(len, moves))
+            assert degrees == [sum(up == t for up, _ in edges)
+                               for t in tris if t.up]
+            assert off == [min((w for (up, _), w in edges.items() if up == t),
+                               default=0) if t.up else 0 for t in tris]
+    # a barrier at p removes exactly the vertical edge of up(p - 1, 0)
+    lost = 0
+    for region in [r for r in regions if r.forbidden_vertical]:
+        free = TriangularRegion(region.triangles, frozenset())
+        edges = _move_edges(*_dual_graph(free)[:2])
+        cut = {(Triangle(p - 1, 0, True), Triangle(p - 1, -1, False))
+               for p in region.forbidden_vertical}
+        assert _move_edges(*_dual_graph(region)[:2]) == {
+            e: w for e, w in edges.items() if e not in cut}
+        lost += len(cut & set(edges))
+    assert lost
+
+
+def test_matching_sum_values_match_the_layer_dp():
+    regions = _graph_corpus()
+
+    def matching_sum(region, k):
+        _, moves, off, _ = _dual_graph(region, _sweep)
+        return engines._matching_sum(moves, off, k)
+
+    for region in regions:
+        # the layer DP reads both ends of each edge and takes its own
+        # offsets
+        graph = _partners(region, _sweep)
+        for k in (0, 8 * digit_width(_count_bound(_dual_graph(region)[3]))):
+            assert matching_sum(region, k) == _layer_sum(*graph, k)
+    assert matching_sum(EMPTY, 8) == (1, 0)
     # its two right-tilting lozenges weigh q^2: q^low = q from up(0,0)'s
     # only edge, and P(q) = q from up(1,0)'s heavier edge
-    assert engines._matching_sum(*_dual_graph(one, _sweep), 8) == (1 << 8, 1)
-    assert engines._matching_sum(*_dual_graph(stuck, _sweep), 0)[0] == 0
+    assert matching_sum(ONE, 8) == (1 << 8, 1)
+    assert matching_sum(STUCK, 0)[0] == 0
 
 
 def _widest_layer(tris, partners):
@@ -355,10 +441,16 @@ def _widest_layer(tris, partners):
 
 
 def test_sweep_keeps_the_frontier_to_one_cut(monkeypatch):
-    # both oracles run their DP in the sweep order
+    # both oracles run their DP on a graph built in the sweep order
     walked = []
-    monkeypatch.setattr(engines, "_matching_sum",
-                        lambda tris, partners, k: walked.append(tris) or (1, 0))
+    dual_graph = engines._dual_graph
+
+    def spy(region, key=None):
+        graph = dual_graph(region, key)
+        walked.append(graph[0])
+        return graph
+
+    monkeypatch.setattr(engines, "_dual_graph", spy)
     region = build_region(make_spec(2, 2))
     count_brute(region)
     qcount_brute(region)
@@ -368,10 +460,10 @@ def test_sweep_keeps_the_frontier_to_one_cut(monkeypatch):
     # (a, b, up) keeps 260, 406, 120, 434, 1,596 and 5,940 states here
     for x, y in [(2, 7), (3, 6), (4, 4), (5, 5), (6, 6), (7, 7)]:
         region = build_region(make_spec(x, y))
-        assert _widest_layer(*_dual_graph(region, _sweep)) == comb(x + y, x)
+        assert _widest_layer(*_partners(region, _sweep)) == comb(x + y, x)
     # barriers and shared dents; the sorted order keeps 5,299
     region = build_region(demo_spec())
-    assert _widest_layer(*_dual_graph(region, _sweep)) <= 1904
+    assert _widest_layer(*_partners(region, _sweep)) <= 1904
 
 
 def test_packed_q_oracle_matches_axis():
@@ -396,8 +488,8 @@ def test_count_bound_covers_the_count():
     for spec in specs:
         region = build_region(spec)
         m = len(region.triangles)
-        assert _count_bound(*_dual_graph(region)) >= count_brute(region,
-                                                                 limit=m)
+        assert _count_bound(_dual_graph(region)[3]) >= count_brute(region,
+                                                                   limit=m)
 
 
 def test_qcount_brute_degenerate_regions():

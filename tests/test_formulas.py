@@ -277,12 +277,15 @@ def test_q_shuffle_rhs_sides_are_the_written_out_products():
 
 
 def test_cluster_s_values():
-    # one cluster against all-up dents at 1..n, whose semihexagons each
-    # count 1: asym_rhs is the cluster's s+ s-, its up dents' semihexagon
-    # count times its down dents', at positions local to the cluster
+    # one cluster against its ups-first arrangement, the same up count, whose
+    # up and down dents sit at consecutive positions and so give
+    # semihexagons that each count 1: asym_rhs is the cluster's s+ s-, its
+    # up dents' semihexagon count times its down dents', at positions local
+    # to the cluster
     def s(cluster):
-        return asym_rhs(ClusterSpec((cluster,), ()),
-                        ClusterSpec((("up",) * len(cluster),), ()))
+        ups = cluster.count("up")
+        first = ("up",) * ups + ("down",) * (len(cluster) - ups)
+        return asym_rhs(ClusterSpec((cluster,), ()), ClusterSpec((first,), ()))
 
     assert s(()) == 1
     assert s(("up", "down")) == 1
@@ -298,6 +301,16 @@ def test_asym_rhs():
     assert asym_rhs(c, c) == 1
     with pytest.raises(IncompatibleClusters):
         asym_rhs(c, ClusterSpec((("up", "down"),), ()))
+
+
+def test_asym_rhs_refuses_up_dents_moved_between_clusters():
+    # every cluster has the same length, but the ups sit 2, 0, 1 against
+    # 1, 1, 1: the finite-scale ratios have no such limit
+    c = ClusterSpec((("up", "up"), ("down", "down"), ("up",)), (1, 1))
+    c2 = ClusterSpec((("up", "down"), ("up", "down"), ("up",)), (1, 1))
+    with pytest.raises(IncompatibleClusters,
+                       match=r"up counts differ in clusters\[0\]: 2 vs 1"):
+        asym_rhs(c, c2)
 
 
 def test_asym_rhs_is_product_of_local_shuffles():
