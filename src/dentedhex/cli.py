@@ -13,6 +13,8 @@ import io
 import json
 import math
 import sys
+from itertools import islice
+
 from .engines import (RegionTooLarge, check_size, count_axis, count_brute,
                       enumerate_tilings, qcount_axis, qcount_brute)
 from .exactnum import ExactnessError
@@ -150,13 +152,13 @@ def _cmd_render(args) -> int:
         check_size(triangle_count(spec), RENDER_LIMIT)
         _write(render_region_svg(spec, unit=args.unit), args.out)
         return 0
-    tilings = enumerate_tilings(_brute_region(spec, None),
-                                limit=args.tiling + 1)
-    if args.tiling >= len(tilings):
-        print(f"error: region has only {len(tilings)} tilings", file=sys.stderr)
+    region = _brute_region(spec, None)
+    count = count_brute(region)
+    if args.tiling >= count:
+        print(f"error: region has only {count} tilings", file=sys.stderr)
         return 1
-    _write(render_tiling_svg(spec, tilings[args.tiling], unit=args.unit),
-           args.out)
+    tiling = next(islice(enumerate_tilings(region), args.tiling, None))
+    _write(render_tiling_svg(spec, tiling, unit=args.unit), args.out)
     return 0
 
 
@@ -271,8 +273,8 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (SpecError, RegionTooLarge, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (ValueError, RegionTooLarge, OSError) as exc:
+        # SpecError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ExactnessError as exc:

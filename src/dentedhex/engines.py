@@ -14,7 +14,7 @@ simple, and obviously faithful to the region; its edges come from
 lattice.LOZENGE_MATES. enumerate_tilings is the only per-tiling walk, for
 rendering: depth first over the same edges, on an explicit state stack,
 in sorted (a, b, up) order, which fixes the order of the tilings it
-lists.
+yields one at a time.
 
 _dual_graph lists each edge once, as a forward move (j, w) of its
 earlier end i < j, and with it each up triangle's least edge weight and
@@ -52,10 +52,11 @@ triangles) at 12,870; sorted (a, b, up) order would keep 10, 1,105 and
 fresh processes). The q-count of make_spec(8, 8), packed in 20-byte
 digits, takes 2.4 s and 146 MB (two fresh processes). Python 3.11, one
 core of a shared 2-vCPU machine, load average under 1.
-BRUTE_LIMIT stays at 120 triangles all the same: it also guards
-enumerate_tilings, which is exponential, and the CLI tests rely on it to
-refuse rendering a tiling of the 298-triangle demo region. Callers that
-want a larger region counted pass an explicit limit.
+BRUTE_LIMIT stays at 120 triangles all the same: the CLI checks it on
+the spec before it builds a region for the oracle, so rendering a tiling
+of the 298-triangle demo region is refused, and callers that want a
+larger region counted pass an explicit limit. enumerate_tilings has no
+budget of its own: it builds nothing its caller does not pull.
 
 count_axis / qcount_axis cut every tiling along the axis. Exactly y of the
 free base positions are straddled by vertical lozenges, so the count is
@@ -116,7 +117,7 @@ b <= -1; all other lozenges have weight 1.
 from __future__ import annotations
 
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactnum import ExactnessError, QPoly, digit_width
 from .formulas import _factorials, delta, schur_ones
@@ -185,14 +186,13 @@ def _dual_graph(region: TriangularRegion, key=None):
     return tris, moves, off, degrees
 
 
-def check_size(m: int, limit: int | None) -> int:
-    """m, a region's triangle count; RegionTooLarge when it exceeds
-    limit (None: BRUTE_LIMIT). The CLI checks lattice.triangle_count(spec)
-    here before it builds the region."""
+def check_size(m: int, limit: int | None) -> None:
+    """RegionTooLarge when m, a region's triangle count, exceeds limit
+    (None: BRUTE_LIMIT). The CLI checks lattice.triangle_count(spec) here
+    before it builds the region."""
     cap = BRUTE_LIMIT if limit is None else limit
     if m > cap:
         raise RegionTooLarge(f"{m} triangles exceeds the limit {cap}")
-    return m
 
 
 def _matching_sum(moves, off, k: int) -> tuple[int, int]:
@@ -275,12 +275,15 @@ def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     return out
 
 
-def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
-                      max_triangles: int | None = None) -> list[Tiling]:
-    """All tilings in deterministic DFS order, truncated at limit."""
-    m = check_size(len(region.triangles), max_triangles)
+def enumerate_tilings(region: TriangularRegion) -> Iterator[Tiling]:
+    """Every tiling, one at a time, in deterministic DFS order.
+
+    The walk holds one stack of partial tilings and none of the tilings it
+    has yielded, so a caller pays only for what it takes (itertools.islice).
+    """
+    m = len(region.triangles)
     if m % 2:
-        return []
+        return
     tris, moves, _, _ = _dual_graph(region)
     kind_of = {(da, db): kind for kind, da, db in LOZENGE_MATES}
     pushes = []  # per triangle, one (bits, lozenge) per forward move
@@ -292,23 +295,21 @@ def enumerate_tilings(region: TriangularRegion, limit: int | None = None,
             row.append((1 << i | 1 << j, loz))
         pushes.append(row[::-1])  # pushed last to first, popped in order
     full = (1 << m) - 1
-    out: list[Tiling] = []
     stack = [(0, None)]  # (covered, partial tiling as (lozenge, rest) pairs)
-    while stack and (limit is None or len(out) < limit):
+    while stack:
         covered, chain = stack.pop()
         if covered == full:
             lozenges = []
             while chain:
                 loz, chain = chain
                 lozenges.append(loz)
-            out.append(Tiling(lozenges))
+            yield Tiling(lozenges)
             continue
         i = (~covered & covered + 1).bit_length() - 1  # lowest uncovered
         # i's partners before it are covered: only forward moves are free
         for bits, loz in pushes[i]:
             if not covered & bits:
                 stack.append((covered | bits, (loz, chain)))
-    return out
 
 
 def _hankel_det(moments: Sequence[int], n: int) -> int:
@@ -377,14 +378,16 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
     # absolute value to at most 2^(|U|+|D|); those of the result to count
     width = digit_width(max(count, 1 << len(U + D)))
     k = 8 * width
-    weights = []
-    for s in spec.free if y else ():  # y = 0 needs no moments
-        w = QPoly.monomial(2 * s)
-        for t in U + D:  # s is free, so s != t: the binomial is normal
-            w = w * QPoly._raw({max(s, t): 1, min(s, t): -1})
-        weights.append(w.packed(width))
-    nodes = [1 << k * s for s in spec.free]
-    det = _hankel_det(_moments(weights, nodes, y), y)
+    det = 1  # y = 0: the empty determinant, with no weights or nodes
+    if y:
+        weights = []
+        for s in spec.free:
+            w = QPoly.monomial(2 * s)
+            for t in U + D:  # s is free, so s != t: the binomial is normal
+                w = w * QPoly._raw({max(s, t): 1, min(s, t): -1})
+            weights.append(w.packed(width))
+        nodes = [1 << k * s for s in spec.free]
+        det = _hankel_det(_moments(weights, nodes, y), y)
     # dq(T) at q = Q is delta of the nodes Q^t
     num = (delta([1 << k * t for t in U]) * delta([1 << k * t for t in D])
            * det)

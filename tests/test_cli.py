@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +13,12 @@ import pytest
 import dentedhex
 from dentedhex import cli, harness, theorems
 from dentedhex.cli import main
-from dentedhex.engines import count_axis, qcount_axis
+from dentedhex.engines import count_axis, enumerate_tilings, qcount_axis
 from dentedhex.exactnum import ExactnessError
 from dentedhex.formulas import pp
 from dentedhex.harness import DEMO_SPEC_JSON, demo_spec
-from dentedhex.lattice import make_spec
+from dentedhex.lattice import build_region, make_spec
+from dentedhex.render import render_tiling_svg
 
 
 @pytest.fixture
@@ -225,11 +227,16 @@ def test_verify_jobs_deterministic(capsys):
 _POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _fresh_cli(*argvs):
     """Run main on each argv in one fresh interpreter that reports two CPUs:
     its stdout, and which of _POOL_MODULES it loaded."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = ("import json, os, sys\n"
               "from dentedhex.cli import main\n"
               "os.cpu_count = lambda: 2\n"
@@ -239,7 +246,7 @@ def _fresh_cli(*argvs):
               f"print(json.dumps([m for m in {_POOL_MODULES!r}\n"
               "                  if m in sys.modules]), file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                          env=dict(os.environ, PYTHONPATH=path),
+                          env=_fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout, json.loads(proc.stderr)
@@ -332,6 +339,46 @@ def test_render_cli(demo_file, tmp_path, capsys):
     for index in ("5", "-1"):  # past the last tiling, and negative
         assert main(["render", "--spec", hexf, "--tiling", index]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def _unwalked(region):
+    raise AssertionError("render walked the tilings before it counted them")
+
+
+def test_render_refuses_a_tiling_past_the_count_without_walking(
+        tmp_path, monkeypatch, capsys):
+    # hex(4,4), 96 triangles, has 232,848 tilings: the DP counts them, and
+    # listing them all first took 5 s and 527 MB
+    monkeypatch.setattr(cli, "enumerate_tilings", _unwalked)
+    hexf = _spec_file(tmp_path, "hex.json", {"x": 4, "y": 4})
+    assert main(["render", "--spec", hexf, "--tiling", "232848"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: region has only 232848 tilings\n"
+
+
+def test_render_walks_to_the_last_tiling_holding_one_stack(tmp_path):
+    # a fresh interpreter renders hex(4,4)'s last tiling and reports its
+    # peak RSS (KiB on Linux); holding every tiling before it took 527 MB
+    spec = make_spec(4, 4)
+    hexf = _spec_file(tmp_path, "hex.json", {"x": 4, "y": 4})
+    script = ("import resource, sys\n"
+              "from dentedhex.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
+              "file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "render", "--spec", hexf, "--tiling",
+         "232847"], env=_fresh_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    # the walk's last tiling, list(enumerate_tilings(region))[-1], kept
+    # alone while the child runs
+    last = deque(enumerate_tilings(build_region(spec)), maxlen=1)[0]
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out == render_tiling_svg(spec, last)
+    assert int(err) < 52 * 1024
 
 
 def test_render_refuses_an_oversized_region(demo_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import random
-from itertools import combinations, permutations
+import tracemalloc
+from itertools import combinations, islice, permutations
 from math import comb
 
 import pytest
@@ -44,8 +45,7 @@ def test_qcount_unit_hexagon():
     poly = qcount_brute(region)
     assert poly == QPoly.monomial(-1) + QPoly.monomial(1)
     # two tilings whose weights differ by a single power of q squared
-    tilings = enumerate_tilings(region)
-    weights = sorted(_tiling_exponent(t) for t in tilings)
+    weights = sorted(_tiling_exponent(t) for t in enumerate_tilings(region))
     assert weights == [-1, 1]
 
 
@@ -151,19 +151,19 @@ def test_no_crossing_at_barrier_positions():
 
 def test_enumerate_tilings():
     region = build_region(make_spec(1, 1))
-    tilings = enumerate_tilings(region)
+    walk = enumerate_tilings(region)
+    assert iter(walk) is walk  # an iterator: nothing listed up front
+    tilings = list(walk)
     assert len(tilings) == 2
     for t in tilings:
         covered = [tri for loz in t for tri in lozenge_triangles(loz)]
         assert len(covered) == len(set(covered)) == len(region.triangles)
         assert set(covered) == set(region.triangles)
-    assert enumerate_tilings(region, limit=1) == tilings[:1]
+    assert list(islice(enumerate_tilings(region), 1)) == tilings[:1]
     # repeat runs give the same order
-    assert enumerate_tilings(region) == tilings
+    assert list(enumerate_tilings(region)) == tilings
     empty = build_region(make_spec(0, 0))
-    assert enumerate_tilings(empty) == [frozenset()]
-    for r in (region, empty):
-        assert enumerate_tilings(r, limit=0) == []
+    assert list(enumerate_tilings(empty)) == [frozenset()]
 
 
 def _sha256(parts) -> str:
@@ -180,8 +180,7 @@ def test_tiling_order_is_pinned():
     specs = [random_region_spec(rng, max_L=7, max_y=3, max_dents=2,
                                 max_b=2) for _ in range(300)]
     digest = _sha256(
-        [sorted(t) for t in enumerate_tilings(build_region(s),
-                                              max_triangles=200)]
+        [sorted(t) for t in enumerate_tilings(build_region(s))]
         for s in specs)
     assert digest == ("bb31d66bd3ba904757fb218b345c5b1c"
                       "b3402504293fdf934f85d87febdd3d39")
@@ -235,6 +234,19 @@ def _without(region, *tris):
                             region.forbidden_vertical)
 
 
+def test_qcount_axis_without_crossings_builds_no_nodes():
+    # y = 0 is the empty determinant; the nodes 1 << k*s of 20,000 free
+    # positions it once built anyway took a 204 MB traced peak
+    spec = make_spec(20000, 0)
+    tracemalloc.start()
+    try:
+        assert qcount_axis(spec) == QPoly.monomial(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+
+
 def test_count_brute_matches_tiling_walk():
     # the oracle's frontier DP against the per-tiling walk: barriers, dents
     # on both sides of one position, adjacent dents, the empty region, and
@@ -254,7 +266,7 @@ def test_count_brute_matches_tiling_walk():
     assert any(len(r.triangles) % 2 for r in regions)
     assert not regions[0].triangles
     for region in regions:
-        assert count_brute(region) == len(enumerate_tilings(region))
+        assert count_brute(region) == len(list(enumerate_tilings(region)))
     assert count_brute(regions[0]) == 1
 
 
@@ -264,15 +276,13 @@ def test_region_too_large():
         count_brute(region, limit=10)
     with pytest.raises(RegionTooLarge):
         qcount_brute(region, limit=10)
-    with pytest.raises(RegionTooLarge):
-        enumerate_tilings(region, max_triangles=10)
 
 
 def test_oracle_survives_deep_regions():
     # 2,408 triangles: a recursive walk would nest 1,204 calls deep
     region = build_region(make_spec(300, 2))
     assert count_brute(region, limit=2408) == pp(300, 2, 2)
-    tilings = enumerate_tilings(region, limit=2, max_triangles=2408)
+    tilings = list(islice(enumerate_tilings(region), 2))
     assert len(tilings) == 2
     assert all(len(t) == 1204 for t in tilings)
 
