@@ -19,7 +19,7 @@ from .engines import (RegionTooLarge, check_size, count_axis, count_brute,
                       enumerate_tilings, qcount_axis, qcount_brute)
 from .exactnum import ExactnessError
 from .formulas import ShuffleInstance, gen_shuffle_rhs, q_shuffle_rhs, shuffle_rhs
-from .harness import SUITE_NAMES, engine_corpus, run_suite, summarize
+from .harness import SUITE_NAMES, engine_corpus, run_suite
 from .lattice import (ClusterSpec, SpecError, build_region, make_spec,
                       spec_from_json_dict, triangle_count)
 from .render import render_region_svg, render_tiling_svg
@@ -120,11 +120,12 @@ def _cmd_verify(args) -> int:
                         jobs=args.jobs)
     for r in reports:
         print(r.json_line())
-    s = summarize(reports)
-    print(f"SUITE {args.suite}: {s.total - s.failed}/{s.total} passed")
-    if s.failed:
-        print(f"FIRST-FAILURE {s.first_failure}")
-    return 2 if s.failed else 0
+    failed = [r for r in reports if not r.passed]
+    print(f"SUITE {args.suite}: {len(reports) - len(failed)}/{len(reports)} "
+          "passed")
+    if failed:
+        print(f"FIRST-FAILURE {failed[0].json_line()}")
+    return 2 if failed else 0
 
 
 def _cmd_asym(args) -> int:

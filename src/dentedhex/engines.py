@@ -354,8 +354,9 @@ def count_axis(spec: ValidatedSpec) -> int:
     U, D, y = spec.U, spec.D, spec.y
     if not y:  # the empty determinant and factorial products leave s(U) s(D)
         return schur_ones(U) * schur_ones(D)
-    weights = [prod(abs(s - t) for t in U + D) for s in spec.free]
-    det = _hankel_det(_moments(weights, spec.free, y), y)
+    free = spec.free
+    weights = [prod(abs(s - t) for t in U + D) for s in free]
+    det = _hankel_det(_moments(weights, free, y), y)
     num = schur_ones(U) * schur_ones(D) * det
     den = _factorials(len(U), len(U) + y) * _factorials(len(D), len(D) + y)
     out, rem = divmod(num, den)
@@ -380,13 +381,13 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
     k = 8 * width
     det = 1  # y = 0: the empty determinant, with no weights or nodes
     if y:
-        weights = []
-        for s in spec.free:
+        free, weights = spec.free, []
+        for s in free:
             w = QPoly.monomial(2 * s)
             for t in U + D:  # s is free, so s != t: the binomial is normal
                 w = w * QPoly._raw({max(s, t): 1, min(s, t): -1})
             weights.append(w.packed(width))
-        nodes = [1 << k * s for s in spec.free]
+        nodes = [1 << k * s for s in free]
         det = _hankel_det(_moments(weights, nodes, y), y)
     # dq(T) at q = Q is delta of the nodes Q^t
     num = (delta([1 << k * t for t in U]) * delta([1 << k * t for t in D])

@@ -19,8 +19,11 @@ up(a,b) for -b <= a <= L-1. This realization reproduces the hexagon side
 lengths x+n-u, y+u, y+d, x+n-d, y+d, y+u and makes dents and barriers
 pure position lookups.
 
-n is always derived from U and D, never supplied. Degenerate regions
-(empty triangle sets) are valid and have exactly one, empty, tiling.
+A ValidatedSpec stores only x, y, U, D and B. n, L and the free axis
+positions are derived from them on each read, never supplied: no spec can
+disagree with its inputs, and building one allocates nothing in L.
+Degenerate regions (empty triangle sets) are valid and have exactly one,
+empty, tiling.
 The dented semihexagon with the a dents S on a base of length a+b is
 the flat region make_spec(b, 0, S): rows 0..a-1 and no rows below the
 axis.
@@ -102,9 +105,8 @@ Tiling = frozenset  # of Lozenge
 class ValidatedSpec:
     """A checked region description; build it with make_spec.
 
-    L = x + y + |U union D| is the base length, and free lists the axis
-    positions that may host a crossing vertical lozenge: [1..L] minus
-    dents and barriers.
+    It holds the five inputs only. L and free are computed on each read:
+    a caller that reads free more than once binds it to a local.
     """
 
     x: int
@@ -112,8 +114,18 @@ class ValidatedSpec:
     U: tuple[int, ...]
     D: tuple[int, ...]
     B: tuple[int, ...]
-    L: int
-    free: tuple[int, ...]
+
+    @property
+    def L(self) -> int:
+        """The base length x + y + |U union D|."""
+        return self.x + self.y + len({*self.U, *self.D})
+
+    @property
+    def free(self) -> tuple[int, ...]:
+        """The axis positions that may host a crossing vertical lozenge:
+        [1..L] minus dents and barriers."""
+        blocked = {*self.U, *self.D, *self.B}
+        return tuple(filterfalse(blocked.__contains__, range(1, self.L + 1)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,7 +156,7 @@ def _checked_positions(name: str, values: Iterable[int]) -> tuple[int, ...]:
 
 def make_spec(x: int, y: int, U: Sequence[int] = (), D: Sequence[int] = (),
               B: Sequence[int] = ()) -> ValidatedSpec:
-    """Check a region description and compute L and the free positions."""
+    """Check a region description and build its spec."""
     x, y = int(x), int(y)
     if x < 0 or y < 0:
         raise SpecError("x and y must be nonnegative")
@@ -158,15 +170,14 @@ def make_spec(x: int, y: int, U: Sequence[int] = (), D: Sequence[int] = (),
             f"barriers {sorted(barred & dents)} collide with dents")
     if len(B) > x:
         raise TooManyBarriers(f"{len(B)} barriers but x={x}")
-    L = x + y + len(dents)
+    spec = ValidatedSpec(x, y, U, D, B)
     blocked = dents | barred
-    if blocked and max(blocked) > L:
+    if blocked and max(blocked) > spec.L:
         for v in blocked:
-            if v > L:
+            if v > spec.L:
                 raise PositionOutOfRange(
-                    f"position {v} exceeds the base length {L}")
-    free = tuple(filterfalse(blocked.__contains__, range(1, L + 1)))
-    return ValidatedSpec(x, y, U, D, B, L, free)
+                    f"position {v} exceeds the base length {spec.L}")
+    return spec
 
 
 # --- JSON wire format ------------------------------------------------------
@@ -222,9 +233,8 @@ def triangle_count(spec: ValidatedSpec) -> int:
     -1 - b, so the h = y + |U| rows above the axis hold h(2L - h) and the
     g = y + |D| rows below it g(2L - g); each dent removes one.
     """
-    h, g = spec.y + len(spec.U), spec.y + len(spec.D)
-    return (h * (2 * spec.L - h) + g * (2 * spec.L - g)
-            - len(spec.U) - len(spec.D))
+    h, g, L = spec.y + len(spec.U), spec.y + len(spec.D), spec.L
+    return h * (2 * L - h) + g * (2 * L - g) - len(spec.U) - len(spec.D)
 
 
 def build_region(spec: ValidatedSpec) -> TriangularRegion:

@@ -143,9 +143,10 @@ def check_kuo(spec: ValidatedSpec) -> CheckReport:
     """
     if spec.x < 1 or spec.y < 1:
         raise SpecError("recurrence needs x >= 1 and y >= 1")
-    if len(spec.free) < 2:
+    free = spec.free
+    if len(free) < 2:
         raise NoDistinctAlphaBeta("need two distinct removable positions")
-    alpha, beta = spec.free[0], spec.free[-1]
+    alpha, beta = free[0], free[-1]
 
     def mq(x, y, extra):
         U = tuple(sorted(spec.U + extra))

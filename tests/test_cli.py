@@ -357,20 +357,24 @@ def test_render_refuses_a_tiling_past_the_count_without_walking(
     assert captured.err == "error: region has only 232848 tilings\n"
 
 
+# a fresh interpreter's main on its argv, then its peak RSS (KiB on Linux)
+# written to stderr
+_PEAK_RSS_SCRIPT = ("import resource, sys\n"
+                    "from dentedhex.cli import main\n"
+                    "code = main(sys.argv[1:])\n"
+                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+                    " file=sys.stderr)\n"
+                    "sys.exit(code)\n")
+
+
 def test_render_walks_to_the_last_tiling_holding_one_stack(tmp_path):
     # a fresh interpreter renders hex(4,4)'s last tiling and reports its
-    # peak RSS (KiB on Linux); holding every tiling before it took 527 MB
+    # peak RSS; holding every tiling before it took 527 MB
     spec = make_spec(4, 4)
     hexf = _spec_file(tmp_path, "hex.json", {"x": 4, "y": 4})
-    script = ("import resource, sys\n"
-              "from dentedhex.cli import main\n"
-              "code = main(sys.argv[1:])\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
-              "file=sys.stderr)\n"
-              "sys.exit(code)\n")
     proc = subprocess.Popen(
-        [sys.executable, "-c", script, "render", "--spec", hexf, "--tiling",
-         "232847"], env=_fresh_env(), stdout=subprocess.PIPE,
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, "render", "--spec", hexf,
+         "--tiling", "232847"], env=_fresh_env(), stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True)
     # the walk's last tiling, list(enumerate_tilings(region))[-1], kept
     # alone while the child runs
@@ -379,6 +383,19 @@ def test_render_walks_to_the_last_tiling_holding_one_stack(tmp_path):
     assert proc.returncode == 0, err
     assert out == render_tiling_svg(spec, last)
     assert int(err) < 52 * 1024
+
+
+@pytest.mark.parametrize("command", ["count", "qcount"])
+def test_flat_hexagon_counts_without_listing_its_free_positions(command):
+    # hex(4*10^6, 0) has one, empty, tiling; a spec that built its 4
+    # million free positions took the command to a 171 MB peak
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, command, "--x", "4000000",
+         "--y", "0"], env=_fresh_env(), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+    assert int(proc.stderr) < 50 * 1024
 
 
 def test_render_refuses_an_oversized_region(demo_file, tmp_path, capsys):

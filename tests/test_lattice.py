@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from dataclasses import fields
 from itertools import combinations, product
 
 import pytest
@@ -8,9 +10,9 @@ from dentedhex.harness import (CORPUS_BOUNDS, CORPUS_MAX_SIZE, demo_spec,
 from dentedhex.lattice import (LOZENGE_MATES, BarrierOverlap, ClusterSpec,
                                DuplicateEntry, GeometryMismatch, Lozenge,
                                NotSorted, PositionOutOfRange, SpecError,
-                               TooManyBarriers, Triangle, UP, build_region,
-                               clusters_to_spec, dent_triangles,
-                               lozenge_triangles, make_spec,
+                               TooManyBarriers, Triangle, UP, ValidatedSpec,
+                               build_region, clusters_to_spec,
+                               dent_triangles, lozenge_triangles, make_spec,
                                spec_from_json_dict, reflect_positions,
                                triangle_count)
 
@@ -25,6 +27,24 @@ def test_validate_trivial():
     s = make_spec(1, 1)
     assert s.L == 2
     assert s.free == (1, 2)
+
+
+def test_spec_holds_only_its_five_inputs():
+    # L and free are read from x, y, U, D and B, so no spec can disagree
+    assert [f.name for f in fields(ValidatedSpec)] == ["x", "y", "U", "D",
+                                                       "B"]
+
+
+def test_make_spec_allocates_nothing_in_the_base_length():
+    # the free positions of a base of 10^8 once took about 4 GB to build
+    tracemalloc.start()
+    try:
+        spec = make_spec(10**8, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert spec.L == 10**8
 
 
 @pytest.mark.parametrize("raw,err", [

@@ -14,7 +14,8 @@ from dentedhex.formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
 from dentedhex.harness import (SUITE_NAMES, build_suite, demo_spec,
                                random_region_spec, random_shuffle_instance,
                                run_suite, run_task)
-from dentedhex.lattice import ClusterSpec, SpecError, build_region, make_spec
+from dentedhex.lattice import (ClusterSpec, SpecError, build_region,
+                               make_spec, spec_from_json_dict)
 from dentedhex.theorems import (NoDistinctAlphaBeta, asym_table,
                                 check_barrier_independence, check_kuo,
                                 check_pair_product, check_schur_sum,
@@ -174,6 +175,15 @@ def test_check_kuo_errors():
     with pytest.raises(NoDistinctAlphaBeta):
         # the barrier leaves a single removable axis position
         check_kuo(make_spec(1, 1, (), (), (1,)))
+
+
+def test_kuo_suite_draws_meet_the_recurrence_preconditions():
+    # the suite keeps every draw: min_xy=1 gives y >= 1 and caps the
+    # barriers at x - 1, so |free| = x + y - |B| >= 2 and alpha != beta
+    for seed in range(200):
+        for _, payload in build_suite("kuo", seed=seed):
+            spec = spec_from_json_dict(payload)
+            assert len(spec.B) < spec.x and len(spec.free) >= 2
 
 
 def test_check_schur_sum():
