@@ -128,6 +128,21 @@ def test_ratio_thm1_check_rejects_barriers(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+@pytest.mark.parametrize("b", [
+    {"x": 3, "y": 1, "U": [2, 3], "D": [1], "B": []},
+    {"x": 2, "y": 2, "U": [2, 3], "D": [1], "B": []},
+    {"x": 2, "y": 1, "U": [2, 3], "D": [1], "B": [4]},
+], ids=["x", "y", "B"])
+def test_ratio_refuses_specs_that_differ_in_x_y_or_barriers(tmp_path, b,
+                                                             capsys):
+    a = _spec_file(tmp_path, "a.json", {"x": 2, "y": 1, "U": [1, 3], "D": [2], "B": []})
+    b = _spec_file(tmp_path, "b.json", b)
+    assert main(["ratio", "--thm", "2", "--spec-a", a, "--spec-b", b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must share x, y and the barrier set" in captured.err
+
+
 def test_ratio_flips(tmp_path, capsys):
     a = _spec_file(tmp_path, "a.json", {"x": 2, "y": 1, "U": [1, 2], "D": [], "B": []})
     b = _spec_file(tmp_path, "b.json", {"x": 2, "y": 1, "U": [1], "D": [2], "B": []})
@@ -482,6 +497,9 @@ def test_spec_json_type_strictness(tmp_path, capsys):
     bad2 = _spec_file(tmp_path, "bad2.json", {"x": 1, "y": 1, "U": ["1"]})
     assert main(["count", "--spec", bad2]) == 1
     capsys.readouterr()
+    bad3 = _spec_file(tmp_path, "bad3.json", [])
+    assert main(["count", "--spec", bad3]) == 1
+    assert "spec JSON must be an object" in capsys.readouterr().err
 
 
 _ASYM = ["asym", "--clusters", "c.json", "--clusters-alt", "c.json",

@@ -28,6 +28,19 @@ def test_count_anchors():
     assert count_axis(make_spec(2, 2)) == 20
 
 
+def test_count_axis_with_crossings_calls_no_closed_form(monkeypatch):
+    # for y > 0 the count is one quotient of the dents' Vandermonde
+    # products and the Hankel determinant, with no schur_ones factor
+    spec = make_spec(2, 2, (1,), (3,))
+    want = count_brute(build_region(spec))
+
+    def refuse(S):
+        raise AssertionError("count_axis called schur_ones")
+
+    monkeypatch.setattr(engines, "schur_ones", refuse)
+    assert count_axis(spec) == want
+
+
 def test_pure_hexagons_match_box_counts():
     for x in range(0, 4):
         for y in range(0, 3):

@@ -303,6 +303,18 @@ def test_asym_rhs():
         asym_rhs(c, ClusterSpec((("up", "down"),), ()))
 
 
+@pytest.mark.parametrize("c2, msg", [
+    (ClusterSpec((("up", "down"), ("up",)), (2,)),
+     r"gaps differ: \(1,\) vs \(2,\)"),
+    (ClusterSpec((("up", "down"), ("up",), ("down",)), (1, 1)),
+     r"cluster lengths differ: \(2, 1\) vs \(2, 1, 1\)"),
+], ids=["gaps", "cluster count"])
+def test_asym_rhs_refuses_other_gaps_or_cluster_counts(c2, msg):
+    c = ClusterSpec((("up", "down"), ("up",)), (1,))
+    with pytest.raises(IncompatibleClusters, match=msg):
+        asym_rhs(c, c2)
+
+
 def test_asym_rhs_refuses_up_dents_moved_between_clusters():
     # every cluster has the same length, but the ups sit 2, 0, 1 against
     # 1, 1, 1: the finite-scale ratios have no such limit
@@ -344,6 +356,17 @@ def test_shuffle_instance_validation():
         ShuffleInstance(1, 1, (1,), (2,), (3,), (1,))  # union changes
     with pytest.raises(SpecError):
         ShuffleInstance(1, 1, (1, 2), (2,), (1,), (2,))  # intersection changes
+
+
+def test_shuffle_instance_holds_its_specs_tuples():
+    inst = ShuffleInstance(1, 1, [1, 3], [2], [2, 3], [1])
+    assert (inst.U, inst.D, inst.U2, inst.D2, inst.B) == (
+        (1, 3), (2,), (2, 3), (1,), ())
+    assert (inst.U, inst.D, inst.B) == (inst.spec_a.U, inst.spec_a.D,
+                                        inst.spec_a.B)
+    assert (inst.U2, inst.D2) == (inst.spec_b.U, inst.spec_b.D)
+    same = ShuffleInstance(1, 1, (1, 3), (2,), (2, 3), (1,))
+    assert inst == same and hash(inst) == hash(same)
 
 
 def test_invariant_checks_survive_optimize_flag():

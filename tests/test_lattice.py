@@ -229,6 +229,8 @@ def test_cluster_validation():
         ClusterSpec((("up",), ("down",)), (0,))  # nonpositive gap
     with pytest.raises(Exception):
         ClusterSpec((("sideways",),), ())
+    with pytest.raises(SpecError, match="exactly one gap"):
+        ClusterSpec((("up",), ("down",)), ())
 
 
 def test_semihex_spec():

@@ -3,11 +3,14 @@ import hashlib
 import json
 import os
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from dentedhex.engines import qcount_axis, qcount_brute
+from dentedhex import engines, formulas, theorems
+from dentedhex.engines import RegionTooLarge, qcount_axis, qcount_brute
 from dentedhex.formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
                                 _q_shuffle_rhs_alt_shift,
                                 _q_shuffle_rhs_integer_gap, shuffle_rhs)
@@ -41,6 +44,16 @@ def test_check_pair_product():
     assert check_pair_product(flat).passed
 
 
+@pytest.mark.parametrize("inst, msg", [
+    (FLIP, "size-preserving shuffle required"),
+    (ShuffleInstance(2, 1, (1, 3), (2,), (2, 3), (1,), (4,)),
+     "stated without barriers"),
+], ids=["sizes change", "barriers"])
+def test_check_pair_product_refusals(inst, msg):
+    with pytest.raises(SpecError, match=msg):
+        check_pair_product(inst)
+
+
 def test_check_thm2():
     assert check_thm2(IDENT).passed
     assert check_thm2(FLIP).passed
@@ -53,6 +66,17 @@ def test_thm2_collapsed_pp_control_fails_somewhere():
     witness = ShuffleInstance(2, 1, (1, 2, 3), (4,), (1, 2), (3, 4))
     assert check_thm2(witness).passed
     assert not check_thm2(witness, rhs=_gen_shuffle_rhs_collapsed_pp).passed
+
+
+def test_thm2_suite_catches_a_wrong_semihexagon_count(monkeypatch):
+    # for y > 0 count_axis calls no closed form, so a wrong schur_ones
+    # reaches gen_shuffle_rhs alone and cannot cancel from the ratio
+    real = formulas.schur_ones
+    for mod in (formulas, engines, theorems):
+        monkeypatch.setattr(mod, "schur_ones",
+                            lambda S: real(S) * (len(S) + 1))
+    reports = run_suite("thm2", seed=7)
+    assert any(not r.passed for r in reports)
 
 
 def test_check_thm2_agrees_with_thm1_on_matching_sizes():
@@ -135,18 +159,13 @@ def test_check_kuo_smallest():
 
 
 def test_check_kuo_random():
+    # min_xy=1 draws meet the recurrence's preconditions (see
+    # test_kuo_suite_draws_meet_the_recurrence_preconditions)
     rng = random.Random(53)
-    done = 0
-    while done < 8:
+    for _ in range(8):
         spec = random_region_spec(rng, max_L=9, max_y=3, max_dents=3,
                                   max_b=1, min_xy=1)
-        if len(spec.B) >= spec.x:
-            continue
-        blocked = set(spec.U) | set(spec.D) | set(spec.B)
-        if len([k for k in range(1, spec.L + 1) if k not in blocked]) < 2:
-            continue
         assert check_kuo(spec).passed
-        done += 1
 
 
 def test_kuo_integer_shadow():
@@ -155,9 +174,8 @@ def test_kuo_integer_shadow():
     from dentedhex.engines import count_axis
     spec = make_spec(2, 2, (1, 4), (2,), (3,))
     assert check_kuo(spec).passed
-    blocked = set(spec.U) | set(spec.D) | set(spec.B)
-    comp = [k for k in range(1, spec.L + 1) if k not in blocked]
-    alpha, beta = comp[0], comp[-1]
+    free = spec.free
+    alpha, beta = free[0], free[-1]
 
     def cnt(x, y, extra):
         return count_axis(make_spec(x, y, tuple(sorted(spec.U + extra)),
@@ -195,6 +213,21 @@ def test_check_schur_sum():
         assert check_schur_sum(spec).passed
     with pytest.raises(SpecError):
         check_schur_sum(make_spec(2, 1, (), (), (1,)))
+
+
+def test_check_schur_sum_refuses_an_oversized_spec_before_building_it():
+    # 6,000,000 triangles: refused from the spec, with nothing built
+    spec = make_spec(1000, 1000)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(RegionTooLarge):
+            check_schur_sum(spec)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 5 * 2**20
 
 
 def test_check_schur_sum_fails_on_wrong_axis_count(monkeypatch):
