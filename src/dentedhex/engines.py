@@ -33,8 +33,11 @@ weights. qcount_brute reads P back as k-bit digits (QPoly.from_packed).
 Its coefficients are nonnegative and sum to the count, the permanent of
 the 0-1 up x down adjacency matrix, so Bregman's bound on that permanent,
 a product over the up triangles' degrees, sizes the digits without a
-counting pass. A digit that overflowed would read back negative, which
-raises ExactnessError.
+counting pass. That bound is what rules overflow out. The read-back
+checks only the sign: a coefficient that overflowed into its digit's
+upper half reads back negative, which raises ExactnessError, but one that
+overflowed by 2^k or more carries into the next digit and can read back
+as a nonnegative digit.
 
 The DP's memory follows the states alive at one time, not every state it
 ever reaches. When step i starts, those are the partial matchings that
@@ -267,9 +270,11 @@ def _count_bound(degrees) -> int:
 def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     """Sum of q-weights over all tilings, as a Laurent polynomial.
 
-    The coefficients are nonnegative and sum to the count, so each one
-    fits a digit sized by _count_bound; an overflowed digit would read
-    back negative.
+    The coefficients are nonnegative and sum to the count, so Bregman's
+    bound (_count_bound) keeps each one below half a digit: the bound rules
+    overflow out. The sign check catches only an overflow into a digit's
+    upper half. One by 2^k or more carries into the next digit and can read
+    back nonnegative: QPoly.from_packed(300, 1, 0) is 44 + q.
     """
     check_size(len(region.triangles), limit)
     _, moves, off, degrees = _dual_graph(region, _sweep)

@@ -268,40 +268,6 @@ class QPoly:
         """Multiply by the monomial q^k."""
         return QPoly._raw({e + k: v for e, v in self._c.items()})
 
-    def divexact(self, other: "QPoly") -> "QPoly":
-        """Exact quotient self/other; raises InexactDivision otherwise.
-
-        Works over the Laurent ring: both operands are shifted to ordinary
-        polynomials first, so q-power factors never obstruct the division.
-        """
-        if not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not self:
-            return QPoly.zero()
-        smin = self.min_exp()
-        omin = other.min_exp()
-        num = _dense(self, smin)
-        den = _dense(other, omin)
-        qdeg = len(num) - len(den)
-        if qdeg < 0:
-            raise InexactDivision("quotient would have negative degree")
-        lead = den[-1]
-        rem = list(num)
-        quo = [0] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            c = rem[k + len(den) - 1]
-            if c % lead:
-                raise InexactDivision("leading coefficient does not divide")
-            f = c // lead
-            quo[k] = f
-            if f:
-                for i, dv in enumerate(den):
-                    rem[k + i] -= f * dv
-        if any(rem):
-            raise InexactDivision("nonzero remainder")
-        shift = smin - omin
-        return QPoly._raw({e + shift: v for e, v in enumerate(quo) if v})
-
     def render(self) -> str:
         """Canonical text form: exponent-ascending "c*q^e" terms.
 
@@ -347,13 +313,6 @@ def _pack(c: Mapping[int, int], low: int, high: int, width: int) -> int:
     return int.from_bytes(digits, "little") - _offset(high - low + 1, width)
 
 
-def _dense(p: QPoly, low: int) -> list[int]:
-    out = [0] * (p.max_exp() - low + 1)
-    for e, v in p.items():
-        out[e - low] = v
-    return out
-
-
 def one_minus_q_quotient(num_exps: Iterable[int], den_exps: Iterable[int]) -> QPoly:
     """prod(1 - q^a) / prod(1 - q^b), which must come out a polynomial.
 
@@ -379,7 +338,7 @@ def one_minus_q_quotient(num_exps: Iterable[int], den_exps: Iterable[int]) -> QP
         poly = nxt
     for b in cd.elements():
         n = len(poly)
-        if n - b < 0:
+        if b >= n:  # poly has degree n - 1 and constant term 1
             raise InexactDivision("denominator factor exceeds degree")
         r = [0] * n
         for k in range(n):
@@ -417,20 +376,25 @@ class QRatio:
         return self.num * other.den == other.num * self.den
 
     def limit_at_one(self) -> Fraction:
-        """Exact value of num/den as q -> 1.
+        """Exact value of num/den as q -> 1, by l'Hopital's rule.
 
-        Strips matching powers of (q - 1) from both sides first, so ratios
-        whose numerator and denominator both vanish at q=1 still evaluate.
+        The j-th derivative of sum c_e q^e at q = 1 is
+        sum c_e e(e-1)...(e-j+1), negative e included, so step j multiplies
+        each coefficient by e - j + 1 and sums. The first j at which either
+        side's sum is nonzero gives the limit, their quotient; a nonzero
+        Laurent denominator vanishes to finite order at q = 1, so the loop
+        ends. No polynomial is divided.
         """
-        num, den = self.num, self.den
-        q_minus_1 = QPoly({1: 1, 0: -1})
-        while num.eval_one() == 0 and den.eval_one() == 0:
-            num = num.divexact(q_minus_1)
-            den = den.divexact(q_minus_1)
-        d = den.eval_one()
+        num, den = self.num._c, self.den._c
+        j = 0
+        while not (sum(num.values()) or sum(den.values())):
+            num = {e: v * (e - j) for e, v in num.items()}
+            den = {e: v * (e - j) for e, v in den.items()}
+            j += 1
+        d = sum(den.values())
         if d == 0:
             raise ZeroDenominator("denominator vanishes to higher order at q=1")
-        return Fraction(num.eval_one(), d)
+        return Fraction(sum(num.values()), d)
 
     def render(self) -> str:
         if self.num == self.den:

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from dentedhex import engines
+from dentedhex import engines, formulas, lattice
 from dentedhex.engines import (RegionTooLarge, _count_bound, _dual_graph,
                                _hankel_det, _sweep, count_axis, count_brute,
                                _right_tilt_exponent, enumerate_tilings,
@@ -664,3 +664,48 @@ def test_hankel_det():
         _hankel_det([2, 2, 2], 2)
     with pytest.raises(ExactnessError):
         _hankel_det([-1], 1)
+
+
+def _plus_one(f):
+    return lambda *args: f(*args) + 1
+
+
+# One planted fault per ExactnessError check that no other test reaches:
+# the module and name rebound, the stand-in built from the original, the
+# call that must reach the check, and the message it must raise with.
+PLANTED_FAULTS = {
+    "count_axis": (engines, "_hankel_det", _plus_one,
+                   lambda: count_axis(make_spec(2, 2, (1,), (3,))),
+                   r"^count_axis\(.*\) is not an integer$"),
+    "qcount_axis": (engines, "count_axis", _plus_one,
+                    lambda: qcount_axis(make_spec(2, 2, (1,), (3,))),
+                    r"^qcount_axis\(.*\) is not a polynomial with "
+                    r"coefficients summing to 163$"),
+    "qcount_brute": (engines, "_count_bound", lambda f: lambda degrees: 1,
+                     lambda: qcount_brute(build_region(make_spec(4, 3))),
+                     "^qcount_brute: a packed coefficient overflowed its "
+                     "digit$"),
+    "pp": (formulas, "_pp_exponents",
+           lambda f: lambda *abc: (f(*abc)[0][1:], f(*abc)[1]),
+           lambda: pp(2, 2, 2), r"^pp\(2, 2, 2\) = 20/3 is not an integer$"),
+    "schur_ones": (formulas, "delta", _plus_one,
+                   lambda: schur_ones((1, 2, 4)),
+                   r"^schur_ones\(\(1, 2, 4\)\) = 7/2 is not an integer$"),
+    "clp_q_dents": (formulas, "schur_ones", _plus_one,
+                    lambda: clp_q_dents((1, 3)),
+                    r"^clp_q_dents\(\(1, 3\)\) is not a polynomial with "
+                    r"coefficients summing to 3$"),
+    "build_region": (lattice, "dent_triangles",
+                     lambda f: lambda spec: [*f(spec), Triangle(0, 0, True)],
+                     lambda: build_region(make_spec(2, 2)),
+                     "^region must be balanced$"),
+}
+
+
+@pytest.mark.parametrize("site", PLANTED_FAULTS)
+def test_exactness_checks_fire_on_planted_faults(site, monkeypatch):
+    # ExactnessError, not assert: CI runs this test under python -O too
+    module, name, plant, call, message = PLANTED_FAULTS[site]
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    with pytest.raises(ExactnessError, match=message):
+        call()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -238,25 +239,8 @@ def test_invert_variable_is_ring_map():
         assert (a + b).invert_variable() == a.invert_variable() + b.invert_variable()
 
 
-def test_divexact_roundtrip():
-    rng = random.Random(14)
-    done = 0
-    while done < 150:
-        a, b = random_qpoly(rng), random_qpoly(rng)
-        if not a or not b:
-            continue
-        assert (a * b).divexact(b) == a
-        done += 1
-
-
-def test_divexact_inexact_raises():
-    with pytest.raises(InexactDivision):
-        (QPoly.monomial(2) + 1).divexact(q + 1)
-    with pytest.raises(ZeroDivisionError):
-        q.divexact(QPoly.zero())
-
-
-def test_one_minus_q_quotient_matches_divexact():
+def test_one_minus_q_quotient_times_denominator_is_numerator():
+    # an exact quotient is unique, so multiplying back checks it
     rng = random.Random(15)
     for _ in range(100):
         den = [rng.randint(1, 5) for _ in range(rng.randint(0, 3))]
@@ -269,7 +253,17 @@ def test_one_minus_q_quotient_matches_divexact():
         prod_den = QPoly.one()
         for b in den:
             prod_den = prod_den * (1 - QPoly.monomial(b))
-        assert one_minus_q_quotient(num, den) == prod_num.divexact(prod_den)
+        assert one_minus_q_quotient(num, den) * prod_den == prod_num
+
+
+def test_one_minus_q_quotient_refuses_inexact_quotients():
+    # 1 - q^2 has a higher degree than 1 - q, and does not divide 1 - q^3
+    with pytest.raises(InexactDivision, match="^denominator factor "
+                       "exceeds degree$"):
+        one_minus_q_quotient([1], [2])
+    with pytest.raises(InexactDivision, match="^denominator factor "
+                       "does not divide$"):
+        one_minus_q_quotient([3], [2])
 
 
 def test_one_minus_q_quotient_refuses_nonpositive_exponents():
@@ -311,6 +305,27 @@ def test_qratio_limit_at_one():
     assert QRatio(QPoly.zero(), q - 1).limit_at_one() == 0
     # (q - 1)^2 / q^2 over (q - 1)^2: both sides vanish to order 2
     assert QRatio(inv * inv, (q - 1) * (q - 1)).limit_at_one() == 1
+
+
+def test_qratio_limit_at_one_strips_powers_of_q_minus_one():
+    # (q - 1)^i A / ((q - 1)^j B) with A(1) B(1) != 0 tends to A(1)/B(1)
+    # when i = j and to 0 when i > j; when i < j the denominator vanishes
+    # to a higher order
+    rng = random.Random(16)
+    done = 0
+    while done < 400:
+        a, b = random_qpoly(rng), random_qpoly(rng)
+        if not a.eval_one() * b.eval_one():
+            continue
+        i, j = rng.randint(0, 6), rng.randint(0, 6)
+        r = QRatio(prod([q - 1] * i, start=a), prod([q - 1] * j, start=b))
+        if i < j:
+            with pytest.raises(ZeroDenominator):
+                r.limit_at_one()
+        else:
+            want = Fraction(a.eval_one(), b.eval_one()) if i == j else 0
+            assert r.limit_at_one() == want
+        done += 1
 
 
 def test_equal_values_hash_equal():
