@@ -3,9 +3,9 @@
 count_brute / qcount_brute sum over the perfect matchings of the region's
 dual graph (vertices = unit triangles, edges = shared sides honoring the
 forbidden crossing positions). A forward DP walks the triangles in sweep
-order (_sweep: column by column, each from the top) and extends a partial
-matching only at its lowest uncovered triangle, the order in which
-enumerate_tilings' DFS extends a partial tiling. Matchings that share
+order (lattice._sweep: column by column, each from the top) and extends
+a partial matching only at its lowest uncovered triangle, the order in
+which enumerate_tilings' DFS extends a partial tiling. Matchings that share
 their lowest uncovered triangle i are told apart only by the later
 triangles they cover, so one dict per i (that set -> summed value) is all
 the DP keeps; step i empties the dict of i into the dicts further on. It
@@ -16,13 +16,15 @@ rendering: depth first over the same edges, on an explicit state stack,
 in sorted (a, b, up) order, which fixes the order of the tilings it
 yields one at a time.
 
-_dual_graph lists each edge once, as a forward move (j, w) of its
-earlier end i < j, and with it each up triangle's least edge weight and
-degree. When i is the lowest uncovered triangle, every partner before it
-is already covered, so forward moves are all that the DP and the walk
-ever take. Step i of the DP loops over i's moves outside its states: a
-move's bit mask and shift are computed once per step, not once per
-state. Each call builds its own graph; nothing is cached between calls.
+The graph comes from lattice._dual_graph: each edge once, as a forward
+move (j, w) of its earlier end i < j, with each up triangle's least edge
+weight and degree. Both oracles read the sweep-ordered graph from
+region.sweep_graph, which the first of them builds and the region keeps
+until it is freed: count_brute and qcount_brute of one region build it
+once, and two equal regions built separately build it twice.
+enumerate_tilings builds its own graph in sorted order. Step i of the DP
+loops over i's moves outside its states: a move's bit mask and shift are
+computed once per step, not once per state.
 
 Both run one DP on plain ints, with the q-weights evaluated at q = 2^k:
 matching along an edge of weight w shifts a value left by k*w bits, and
@@ -131,69 +133,14 @@ from typing import Iterator, Sequence
 
 from .exactnum import ExactnessError, QPoly, digit_width
 from .formulas import _factorials, delta, schur_ones
-from .lattice import (KIND_R, KIND_V, LOZENGE_MATES, Lozenge, Tiling,
-                      Triangle, TriangularRegion, ValidatedSpec)
+from .lattice import (LOZENGE_MATES, Lozenge, Tiling, TriangularRegion,
+                      ValidatedSpec, _dual_graph)
 
 BRUTE_LIMIT = 120
 
 
 class RegionTooLarge(RuntimeError):
     """The region exceeds the configured brute-force triangle budget."""
-
-
-def _right_tilt_exponent(b: int) -> int:
-    return b + 1 if b >= 0 else b
-
-
-def _sweep(t: Triangle):
-    """Sort key: column a ascending, its top row first, in each cell up
-    before down. The DP's frontier then follows one lattice line."""
-    return t.a, -t.b, not t.up
-
-
-def _dual_graph(region: TriangularRegion, key=None):
-    """The dual graph in key order: (tris, moves, off, degrees).
-
-    moves[i] lists triangle i's forward moves, (j, w) for each partner
-    j > i in ascending j, w the edge's weight: each edge is listed once, at
-    its earlier end. off[i] is an up triangle's least edge weight (0 with
-    no edge) and 0 for a down triangle. degrees lists the up triangles'
-    degrees.
-
-    An up triangle's mates come from LOZENGE_MATES, looked up as plain
-    (a, b, up) tuples, which hash and compare as the Triangle they stand
-    for. A down triangle's moves come from the up triangles after it,
-    which are reached in ascending order, so only an up triangle's own
-    moves need sorting.
-    """
-    tris = sorted(region.triangles, key=key)
-    index = {t: i for i, t in enumerate(tris)}
-    moves: list[list[tuple[int, int]]] = [[] for _ in tris]
-    off = [0] * len(tris)
-    degrees = []
-    barred = region.forbidden_vertical
-    for i, (a, b, up) in enumerate(tris):
-        if not up:
-            continue
-        tilt = _right_tilt_exponent(b)
-        row, degree, low = moves[i], 0, 0
-        for kind, da, db in LOZENGE_MATES:
-            if kind == KIND_V and b == 0 and a + 1 in barred:
-                continue
-            j = index.get((a + da, b + db, False))
-            if j is not None:
-                w = tilt if kind == KIND_R else 0
-                if j > i:
-                    row.append((j, w))
-                else:
-                    moves[j].append((i, w))
-                if not degree or w < low:
-                    low = w
-                degree += 1
-        row.sort()
-        off[i] = low
-        degrees.append(degree)
-    return tris, moves, off, degrees
 
 
 def check_size(m: int, limit: int | None) -> None:
@@ -250,7 +197,7 @@ def _matching_sum(moves, off, k: int) -> tuple[int, int]:
 def count_brute(region: TriangularRegion, limit: int | None = None) -> int:
     """Number of perfect matchings of the dual graph; empty region -> 1."""
     check_size(len(region.triangles), limit)
-    _, moves, off, _ = _dual_graph(region, _sweep)
+    _, moves, off, _ = region.sweep_graph
     return _matching_sum(moves, off, 0)[0]
 
 
@@ -277,7 +224,7 @@ def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     back nonnegative: QPoly.from_packed(300, 1, 0) is 44 + q.
     """
     check_size(len(region.triangles), limit)
-    _, moves, off, degrees = _dual_graph(region, _sweep)
+    _, moves, off, degrees = region.sweep_graph
     width = digit_width(_count_bound(degrees))
     n, low = _matching_sum(moves, off, 8 * width)
     out = QPoly.from_packed(n, width, low)

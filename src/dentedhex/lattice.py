@@ -27,12 +27,17 @@ empty, tiling.
 The dented semihexagon with the a dents S on a base of length a+b is
 the flat region make_spec(b, 0, S): rows 0..a-1 and no rows below the
 axis.
+
+TriangularRegion.sweep_graph keeps the region's dual graph (_dual_graph)
+in the sweep order that both oracle engines read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import filterfalse
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import ExactnessError
@@ -208,7 +213,13 @@ def spec_from_json_dict(obj: dict) -> ValidatedSpec:
 
 @dataclass(frozen=True)
 class TriangularRegion:
-    """An explicit set of unit triangles plus forbidden crossing positions."""
+    """An explicit set of unit triangles plus forbidden crossing positions.
+
+    Equality, hash, repr and pickling read the two fields only. The
+    sweep-ordered dual graph is built on the first read of sweep_graph and
+    kept in the instance's __dict__ until the region is freed: two equal
+    regions each build their own, and a pickle or copy carries none.
+    """
 
     triangles: frozenset
     forbidden_vertical: frozenset
@@ -218,6 +229,77 @@ class TriangularRegion:
 
     def down_count(self) -> int:
         return sum(1 for t in self.triangles if not t.up)
+
+    @cached_property
+    def sweep_graph(self):
+        """_dual_graph(self, _sweep), built once: the graph count_brute and
+        qcount_brute both run their DP on. It is shared, so no reader may
+        change its lists."""
+        return _dual_graph(self, _sweep)
+
+    def __getstate__(self):
+        return {"triangles": self.triangles,
+                "forbidden_vertical": self.forbidden_vertical}
+
+
+def _right_tilt_exponent(b: int) -> int:
+    """The q-exponent of a right-tilting lozenge in row b."""
+    return b + 1 if b >= 0 else b
+
+
+def _sweep(t: Triangle):
+    """Sort key: column a ascending, its top row first, in each cell up
+    before down. The oracle DP's frontier then follows one lattice line."""
+    return t.a, -t.b, not t.up
+
+
+def _dual_graph(region: TriangularRegion, key=None):
+    """The dual graph in key order: (tris, moves, off, degrees).
+
+    Vertices are the region's triangles, edges their shared sides, less
+    the vertical ones crossing the axis at a forbidden position.
+    moves[i] lists triangle i's forward moves, (j, w) for each partner
+    j > i in ascending j, w the edge's weight: each edge is listed once, at
+    its earlier end. When i is the lowest uncovered triangle every partner
+    before it is already covered, so forward moves are all that the oracle
+    DP and the tiling walk ever take. off[i] is an up triangle's least edge
+    weight (0 with no edge) and 0 for a down triangle. degrees lists the
+    up triangles' degrees.
+
+    An up triangle's mates come from LOZENGE_MATES, looked up as plain
+    (a, b, up) tuples, which hash and compare as the Triangle they stand
+    for. A down triangle's moves come from the up triangles after it,
+    which are reached in ascending order, so only an up triangle's own
+    moves need sorting.
+    """
+    tris = sorted(region.triangles, key=key)
+    index = {t: i for i, t in enumerate(tris)}
+    moves: list[list[tuple[int, int]]] = [[] for _ in tris]
+    off = [0] * len(tris)
+    degrees = []
+    barred = region.forbidden_vertical
+    for i, (a, b, up) in enumerate(tris):
+        if not up:
+            continue
+        tilt = _right_tilt_exponent(b)
+        row, degree, low = moves[i], 0, 0
+        for kind, da, db in LOZENGE_MATES:
+            if kind == KIND_V and b == 0 and a + 1 in barred:
+                continue
+            j = index.get((a + da, b + db, False))
+            if j is not None:
+                w = tilt if kind == KIND_R else 0
+                if j > i:
+                    row.append((j, w))
+                else:
+                    moves[j].append((i, w))
+                if not degree or w < low:
+                    low = w
+                degree += 1
+        row.sort()
+        off[i] = low
+        degrees.append(degree)
+    return tris, moves, off, degrees
 
 
 def dent_triangles(spec: ValidatedSpec) -> Iterator[Triangle]:
@@ -252,10 +334,9 @@ def build_region(spec: ValidatedSpec) -> TriangularRegion:
         for a in range(-b, L):
             tris.add(Triangle(a, b, True))
     tris.difference_update(dent_triangles(spec))
-    region = TriangularRegion(frozenset(tris), frozenset(spec.B))
-    if region.up_count() != region.down_count():
+    if 2 * sum(map(itemgetter(2), tris)) != len(tris):  # up == down
         raise ExactnessError("region must be balanced")
-    return region
+    return TriangularRegion(frozenset(tris), frozenset(spec.B))
 
 
 def reflect_positions(S: Sequence[int], L: int) -> tuple[int, ...]:

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import tracemalloc
 from itertools import combinations, islice, permutations
@@ -7,15 +9,15 @@ from math import comb
 import pytest
 
 from dentedhex import engines, formulas, lattice
-from dentedhex.engines import (RegionTooLarge, _count_bound, _dual_graph,
-                               _hankel_det, _sweep, count_axis, count_brute,
-                               _right_tilt_exponent, enumerate_tilings,
+from dentedhex.engines import (RegionTooLarge, _count_bound, _hankel_det,
+                               count_axis, count_brute, enumerate_tilings,
                                qcount_axis, qcount_brute)
 from dentedhex.exactnum import ExactnessError, QPoly, digit_width
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
 from dentedhex.harness import demo_spec, engine_corpus, random_region_spec
 from dentedhex.theorems import crossing_subsets
 from dentedhex.lattice import (LOZENGE_MATES, Triangle, TriangularRegion,
+                               _dual_graph, _right_tilt_exponent, _sweep,
                                build_region, lozenge_triangles, make_spec,
                                reflect_positions)
 
@@ -463,21 +465,38 @@ def _widest_layer(tris, partners):
     return widest
 
 
-def test_sweep_keeps_the_frontier_to_one_cut(monkeypatch):
-    # both oracles run their DP on a graph built in the sweep order
-    walked = []
-    dual_graph = engines._dual_graph
+def _spy_builds(monkeypatch) -> list:
+    """Record the triangle order of each graph the region property builds,
+    at the builder it calls."""
+    built = []
+    dual_graph = lattice._dual_graph
 
     def spy(region, key=None):
         graph = dual_graph(region, key)
-        walked.append(graph[0])
+        built.append(graph[0])
         return graph
 
-    monkeypatch.setattr(engines, "_dual_graph", spy)
+    monkeypatch.setattr(lattice, "_dual_graph", spy)
+    return built
+
+
+def test_sweep_keeps_the_frontier_to_one_cut(monkeypatch):
+    # both oracles run their DP on one graph, built once in the sweep order
+    built = _spy_builds(monkeypatch)
+    ran = []
+    matching_sum = engines._matching_sum
+
+    def dp(moves, off, k):
+        ran.append(moves)
+        return matching_sum(moves, off, k)
+
+    monkeypatch.setattr(engines, "_matching_sum", dp)
     region = build_region(make_spec(2, 2))
     count_brute(region)
     qcount_brute(region)
-    assert walked == [sorted(region.triangles, key=_sweep)] * 2
+    assert built == [sorted(region.triangles, key=_sweep)]
+    assert len(ran) == 2
+    assert all(moves is region.sweep_graph[1] for moves in ran)
     # cut hex(x, y) along a lattice line and the two sides share only which
     # x of the x + y crossing positions the paths use; the sorted order
     # (a, b, up) keeps 260, 406, 120, 434, 1,596 and 5,940 states here
@@ -487,6 +506,38 @@ def test_sweep_keeps_the_frontier_to_one_cut(monkeypatch):
     # barriers and shared dents; the sorted order keeps 5,299
     region = build_region(demo_spec())
     assert _widest_layer(*_partners(region, _sweep)) <= 1904
+
+
+def test_equal_regions_built_apart_build_their_own_graphs(monkeypatch):
+    built = _spy_builds(monkeypatch)
+    specs = engine_corpus(seed=7)
+    for spec in specs:
+        first, second = build_region(spec), build_region(spec)
+        assert first == second
+        count_brute(first)
+        qcount_brute(second)
+        assert first.sweep_graph == second.sweep_graph
+        assert first.sweep_graph is not second.sweep_graph
+    assert len(built) == 2 * len(specs)
+
+
+def test_a_filled_graph_leaves_the_region_value_unchanged():
+    for spec in engine_corpus(seed=7):
+        region, fresh = build_region(spec), build_region(spec)
+        before = hash(region), repr(region), pickle.dumps(region)
+        qcount_brute(region)
+        assert "sweep_graph" in vars(region)
+        assert region == fresh and hash(region) == hash(fresh)
+        assert (hash(region), repr(region), pickle.dumps(region)) == before
+        for twin in (pickle.loads(before[2]), copy.copy(region)):
+            assert twin == region and "sweep_graph" not in vars(twin)
+
+
+def test_count_on_a_filled_graph_matches_a_fresh_region():
+    for spec in engine_corpus(seed=7):
+        filled = build_region(spec)
+        qcount_brute(filled)
+        assert count_brute(filled) == count_brute(build_region(spec))
 
 
 def test_packed_q_oracle_matches_axis():
