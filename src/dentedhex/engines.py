@@ -103,13 +103,32 @@ dq(T) = prod_{i<j} (q^(t_j) - q^(t_i)) and c_n = dq({1..n}),
 
 where a dent in both U and D gives two factors, and E = sum(U) + sum(D)
 - a(a+1)/2 + b(b+1)/2 - (L+1)(b(b-1)/2 + b) + (b-1)b(b+1)/2 collects the
-q-powers of the two semihexagon shifts and of the reflection at 1/q. It
-all runs on ints at q = Q = 2^k: each w_q(s) is a QPoly product packed at
-Q, and the determinant and the one division by c_a c_b are exact int
-operations; QPoly.from_packed reads the quotient back. That quotient is
-q^-E * qcount, a polynomial whose coefficients are nonnegative (they
+q-powers of the two semihexagon shifts and of the reflection at 1/q.
+
+Every factor in that quotient carries a power of q that the positions
+fix, and qcount_axis takes each one out before it computes:
+
+- w_q(s) = q^e(s) prod_{t in U+D} (q^|s-t| - 1) with e(s) = 2s +
+  sum_t min(s, t), which grows with s, so e0 = e(s0) is the least power,
+  s0 the first free position;
+- with the weights w'(s) = q^(e(s) - e0) prod_t (q^|s-t| - 1) and the
+  nodes q^(s - s0), M_m = q^(e0 + s0*m) M'_m, so det[M_(i+j)] =
+  q^(y*e0 + s0*y(y-1)) det[M'_(i+j)];
+- dq(T) = q^(sum_{i<j} t_i) prod_{i<j} (q^(t_j - t_i) - 1), for each of
+  dq(U), dq(D), c_a and c_b (_dq).
+
+Those powers join E. It all runs on ints at q = Q = 2^k: each w'(s) is a
+QPoly product of |U|+|D| binomials q^d - 1, packed at Q and shifted by
+k(e(s) - e0) bits, and the moment loop steps from node to node by a shift
+of k(s - s0) bits, with no multiplication. The determinant and the one
+division are exact int operations; the divisor is what is left of c_a c_b,
+a product of factors Q^d - 1, so it is odd. QPoly.from_packed reads the
+quotient back at E' = E plus the powers taken out. So M'_m is k(e0 +
+s0*m) bits shorter than M_m, and the determinant, the divisor and the
+quotient are each shorter by k times the powers they lose. The quotient
+is q^-E' * qcount, a polynomial whose coefficients are nonnegative (they
 count tilings by weight) and sum to count_axis(spec), so none exceeds
-that count; the coefficients of w_q(s) sum in absolute value to at most
+that count; the coefficients of w'(s) sum in absolute value to at most
 2^(|U|+|D|). k = 8 * digit_width of the larger bound keeps every digit
 apart. A remainder, or a digit sum other than the count, raises
 ExactnessError.
@@ -118,7 +137,7 @@ Both engines are polynomial in x, y and the dent count. The count's
 moments have O(y log L) digits and hex(60, 60) (1,227 digits) takes about
 1.3 s (Python 3.11, one core of a 2-vCPU machine). The q-version's moments
 have O(k y L) bits, and the Bareiss divisions dominate because CPython's
-big-int division is quadratic: hex(12, 12) takes about 11 s there.
+big-int division is quadratic: hex(12, 12) takes about 9 s there.
 
 Weight convention (pinned by the calibration test qcount on a one-row
 semihexagon with dent s giving q^(s-1)): only right-tilting lozenges
@@ -128,6 +147,7 @@ b <= -1; all other lozenges have weight 1.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import prod
 from typing import Iterator, Sequence
 
@@ -324,11 +344,27 @@ def count_axis(spec: ValidatedSpec) -> int:
     return out
 
 
+def _dq(T: Sequence[int], k: int) -> tuple[int, int]:
+    """(e, n) with dq(T) = Q^e * n at Q = 2^k, for T increasing.
+
+    Each factor Q^t_j - Q^t_i (i < j) is Q^t_i * (Q^(t_j - t_i) - 1), so
+    e = sum over i < j of t_i, and n, a product of Q^d - 1 with d >= 1, is
+    odd.
+    """
+    e, n = 0, 1
+    for s, t in combinations(T, 2):
+        e += s
+        n *= (1 << k * (t - s)) - 1
+    return e, n
+
+
 def qcount_axis(spec: ValidatedSpec) -> QPoly:
     """Tiling generating function, exactly equal to qcount_brute.
 
     q^E dq(U) dq(D) det[M_(i+j)] / (dq([a]) dq([b])), evaluated at
-    Q = 2^k and unpacked (see the module docstring).
+    Q = 2^k with every power of Q that the positions determine taken out
+    of the weights, the nodes and the four q-Vandermonde products and
+    added to E, then unpacked (see the module docstring).
     """
     U, D, y, L = spec.U, spec.D, spec.y, spec.L
     a, b = len(U) + y, len(D) + y
@@ -337,24 +373,32 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
     # absolute value to at most 2^(|U|+|D|); those of the result to count
     width = digit_width(max(count, 1 << len(U + D)))
     k = 8 * width
-    det = 1  # y = 0: the empty determinant, with no weights or nodes
+    det, low = 1, 0  # y = 0: the empty determinant, with no weights or nodes
     if y:
-        free, weights = spec.free, []
+        free, dents = spec.free, U + D
+        s0 = free[0]
+        # w_q(s) = q^e(s) prod_t (q^|s-t| - 1), e(s) = 2s + sum_t min(s, t),
+        # which grows with s: the least power is e0 = e(s0)
+        e0 = 2 * s0 + sum(min(s0, t) for t in dents)
+        moments = [0] * (2 * y - 1)
         for s in free:
-            w = QPoly.monomial(2 * s)
-            for t in U + D:  # s is free, so s != t: the binomial is normal
-                w = w * QPoly._raw({max(s, t): 1, min(s, t): -1})
-            weights.append(w.packed(width))
-        nodes = [1 << k * s for s in free]
-        det = _hankel_det(_moments(weights, nodes, y), y)
-    # dq(T) at q = Q is delta of the nodes Q^t
-    num = (delta([1 << k * t for t in U]) * delta([1 << k * t for t in D])
-           * det)
-    den = (delta([1 << k * t for t in range(1, a + 1)])
-           * delta([1 << k * t for t in range(1, b + 1)]))
-    quo, rem = divmod(num, den)
+            w, e = QPoly.one(), 2 * s - e0
+            for t in dents:  # s is free, so s != t: the binomial is normal
+                w = w * QPoly._raw({abs(s - t): 1, 0: -1})
+                e += min(s, t)
+            w, shift = w.packed(width) << k * e, k * (s - s0)  # node Q^(s-s0)
+            for m in range(2 * y - 1):
+                moments[m] += w
+                w <<= shift
+        det = _hankel_det(moments, y)
+        # M_m = Q^(e0 + s0 m) * moments[m], so det[M] = Q^low * det
+        low = y * e0 + s0 * y * (y - 1)
+    (eU, nU), (eD, nD), (ea, na), (eb, nb) = (
+        _dq(T, k) for T in (U, D, range(1, a + 1), range(1, b + 1)))
+    quo, rem = divmod(nU * nD * det, na * nb)
     E = (sum(U) + sum(D) - a * (a + 1) // 2 + b * (b + 1) // 2
-         - (L + 1) * (b * (b - 1) // 2 + b) + (b - 1) * b * (b + 1) // 2)
+         - (L + 1) * (b * (b - 1) // 2 + b) + (b - 1) * b * (b + 1) // 2
+         + low + eU + eD - ea - eb)
     out = QPoly.from_packed(quo, width, E)
     if rem or out.eval_one() != count:
         raise ExactnessError(f"qcount_axis({spec.to_json_dict()}) is not a "

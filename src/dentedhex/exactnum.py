@@ -36,7 +36,8 @@ Three bounds are used:
   magnitude.
 - engines.qcount_axis: the same argument with count_axis(spec) as the
   bound on the result's coefficients; its weights, products of m
-  binomials q^i - q^j, enter the determinant as QPoly.packed values, and
+  binomials q^d - 1 (the power of q each dent's factor q^i - q^j carries
+  is taken out first), enter the determinant as QPoly.packed values, and
   their coefficients sum in absolute value to at most 2^m.
 - engines.qcount_brute: the result's coefficients are nonnegative and
   sum to the tiling count, which Bregman's bound on the permanent caps

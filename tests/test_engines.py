@@ -676,6 +676,23 @@ def test_qcount_axis_weights_wider_than_the_count():
     assert qcount_axis(spec) == qcount_brute(region, limit=146)
 
 
+def test_qcount_axis_moments_carry_no_power_of_q(monkeypatch):
+    # the weight at the first free position is a product of odd factors
+    # Q^d - 1 and its node is Q^0; every other term of a moment has a
+    # factor Q, so each moment handed to the determinant is odd
+    seen = []
+
+    def spy(moments, n):
+        seen.append(list(moments))
+        return _hankel_det(moments, n)
+    monkeypatch.setattr(engines, "_hankel_det", spy)
+    for spec in engine_corpus(seed=7)[:60] + [make_spec(5, 5), demo_spec()]:
+        if spec.y:
+            seen.clear()
+            qcount_axis(spec)
+            assert all(m % 2 for m in seen[-1]), spec
+
+
 def test_axis_engine_on_large_hexagons():
     assert count_axis(make_spec(20, 20)) == pp(20, 20, 20)
     big = count_axis(make_spec(40, 40))
