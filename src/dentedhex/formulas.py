@@ -154,18 +154,27 @@ class ShuffleInstance:
     U2: tuple[int, ...]
     D2: tuple[int, ...]
     B: tuple[int, ...] = ()
-    # the two validated regions, built once in __post_init__
+    # the two validated regions, built once in __post_init__; one
+    # spec, spec_b is spec_a, when the shuffle moves no dent
     spec_a: ValidatedSpec = field(init=False, compare=False, repr=False)
     spec_b: ValidatedSpec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a = make_spec(self.x, self.y, self.U, self.D, self.B)
-        b = make_spec(self.x, self.y, self.U2, self.D2, self.B)
-        # U and D are sets, so the multiset U + D holds their union once
-        # and their intersection twice: one comparison checks both
-        if sorted(a.U + a.D) != sorted(b.U + b.D):
-            raise SpecError("shuffle must preserve the union and the "
-                            "intersection of dents")
+        # an identity shuffle is one region and gets one spec. Positions
+        # are read as make_spec reads them, D2 only once U2 matches, so a
+        # bad U2 or D2 raises what make_spec raises
+        U2 = tuple(map(int, self.U2))
+        D2 = tuple(map(int, self.D2)) if U2 == a.U else self.D2
+        if (U2, D2) == (a.U, a.D):
+            b = a
+        else:
+            b = make_spec(self.x, self.y, U2, D2, self.B)
+            # U and D are sets, so the multiset U + D holds their union
+            # once and their intersection twice: one comparison checks both
+            if sorted(a.U + a.D) != sorted(b.U + b.D):
+                raise SpecError("shuffle must preserve the union and the "
+                                "intersection of dents")
         # frozen: fill the fields past __setattr__, with the validated tuples
         vars(self).update(U=a.U, D=a.D, U2=b.U, D2=b.D, B=a.B, spec_a=a,
                           spec_b=b)

@@ -14,6 +14,10 @@ wrong formula instead and expects the check to fail.
 A CheckReport holds exactly what its JSON line prints: the check's name,
 its instance, both sides and the verdict. It carries no timing, so the
 report bytes cannot depend on the clock or on the worker count.
+
+A check that counts several regions counts each distinct one once
+(_count_each): an identity shuffle, U2 == U and D2 == D, is one region.
+Nothing is kept between checks, so two checks of equal regions each count.
 """
 
 from __future__ import annotations
@@ -51,12 +55,27 @@ class CheckReport:
             sort_keys=True, separators=(",", ":"))
 
 
+def _count_each(count: Callable[[ValidatedSpec], object],
+                specs: Sequence[ValidatedSpec]) -> list:
+    """count(spec) for each of specs, calling count once per distinct spec.
+
+    Specs are keyed on their value, in a dict that lives for this call
+    only, so nothing a check counts survives the check.
+    """
+    seen, out = {}, []
+    for spec in specs:
+        value = seen.get(spec)  # a count is an int or a QPoly, never None
+        if value is None:
+            value = seen[spec] = count(spec)
+        out.append(value)
+    return out
+
+
 def _count_ratio(name: str, inst: ShuffleInstance,
                  ratio: Fraction) -> CheckReport:
     """The count ratio of the two sides of inst against ratio, verified as
     the exact integer identity count_a * ratio.den == count_b * ratio.num."""
-    a = count_axis(inst.spec_a)
-    b = count_axis(inst.spec_b)
+    a, b = _count_each(count_axis, (inst.spec_a, inst.spec_b))
     return CheckReport(name, inst.to_json_dict(), f"{a}/{b}", str(ratio),
                        a * ratio.denominator == b * ratio.numerator)
 
@@ -80,11 +99,10 @@ def check_pair_product(inst: ShuffleInstance) -> CheckReport:
         raise SpecError("size-preserving shuffle required here")
     if inst.B:
         raise SpecError("the pair-product identity is stated without barriers")
-    a = count_axis(inst.spec_a)
-    b = count_axis(inst.spec_b)
     flat = inst.x + inst.y
-    fa = count_axis(make_spec(flat, 0, inst.U, inst.D, ()))
-    fb = count_axis(make_spec(flat, 0, inst.U2, inst.D2, ()))
+    a, b, fa, fb = _count_each(count_axis, (
+        inst.spec_a, inst.spec_b, make_spec(flat, 0, inst.U, inst.D, ()),
+        make_spec(flat, 0, inst.U2, inst.D2, ())))
     return CheckReport("pair_product", inst.to_json_dict(),
                        f"{a}*{fb}", f"{b}*{fa}", a * fb == b * fa)
 
@@ -101,11 +119,11 @@ def check_barrier_independence(inst: ShuffleInstance,
                                barrier_sets: Sequence[Sequence[int]]) -> CheckReport:
     """The shuffle ratio does not see the barrier set: all pairwise
     cross-products of counts over the given barrier sets must agree."""
-    counts = []
-    for B in barrier_sets:
-        a = count_axis(make_spec(inst.x, inst.y, inst.U, inst.D, tuple(B)))
-        b = count_axis(make_spec(inst.x, inst.y, inst.U2, inst.D2, tuple(B)))
-        counts.append((a, b))
+    specs = [make_spec(inst.x, inst.y, U, D, tuple(B))
+             for B in barrier_sets
+             for U, D in ((inst.U, inst.D), (inst.U2, inst.D2))]
+    each = _count_each(count_axis, specs)
+    counts = list(zip(each[::2], each[1::2]))
     passed = all(ai * bj == aj * bi
                  for (ai, bi), (aj, bj) in combinations(counts, 2))
     instance = dict(inst.to_json_dict(),
@@ -122,8 +140,7 @@ def check_thm3(inst: ShuffleInstance,
     rhs, default q_shuffle_rhs, compared by cross-multiplication of
     Laurent polynomials."""
     ratio = (rhs or q_shuffle_rhs)(inst)
-    a = qcount_axis(inst.spec_a)
-    b = qcount_axis(inst.spec_b)
+    a, b = _count_each(qcount_axis, (inst.spec_a, inst.spec_b))
     return CheckReport("thm3", inst.to_json_dict(), f"({a}) / ({b})",
                        str(ratio), QRatio(a, b) == ratio)
 
@@ -214,10 +231,11 @@ def asym_table(c: ClusterSpec, c2: ClusterSpec, x: int, y: int,
     in count_axis.
     """
     limit = asym_rhs(c, c2)
+    specs = [clusters_to_spec(_scaled(side, N), N * x, N * y)
+             for N in range(1, n_max + 1) for side in (c, c2)]
+    counts = _count_each(count_axis, specs)
     rows = []
-    for N in range(1, n_max + 1):
-        spec_a = clusters_to_spec(_scaled(c, N), N * x, N * y)
-        spec_b = clusters_to_spec(_scaled(c2, N), N * x, N * y)
-        ratio = Fraction(count_axis(spec_a), count_axis(spec_b))
+    for N, a, b in zip(range(1, n_max + 1), counts[::2], counts[1::2]):
+        ratio = Fraction(a, b)
         rows.append(AsymRow(N, ratio, ratio / limit - 1))
     return AsymTable(limit, tuple(rows))

@@ -90,6 +90,17 @@ def test_ratio_identity(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("thm", ["1", "2", "3"])
+def test_ratio_check_of_a_region_against_itself(tmp_path, demo_file, thm,
+                                                capsys):
+    # thm1 is stated without barriers, so it reads a barrier-free region
+    spec = demo_file if thm != "1" else _spec_file(
+        tmp_path, "free.json", dict(DEMO_SPEC_JSON, B=[]))
+    assert main(["ratio", "--thm", thm, "--spec-a", spec, "--spec-b", spec,
+                 "--check"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_ratio_swap(tmp_path, capsys):
     a = _spec_file(tmp_path, "a.json", {"x": 1, "y": 1, "U": [1, 3], "D": [2], "B": []})
     b = _spec_file(tmp_path, "b.json", {"x": 1, "y": 1, "U": [2, 3], "D": [1], "B": []})

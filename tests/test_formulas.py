@@ -370,6 +370,48 @@ def test_shuffle_instance_holds_its_specs_tuples():
     assert inst == same and hash(inst) == hash(same)
 
 
+def test_an_identity_shuffle_builds_one_spec():
+    inst = ShuffleInstance(4, 3, [2, 4, 5, 8, 11], [4, 9, 11, 12],
+                           [2, 4, 5, 8, 11], [4, 9, 11, 12], [6, 13])
+    assert inst.spec_b is inst.spec_a
+    assert inst.spec_a == make_spec(4, 3, (2, 4, 5, 8, 11), (4, 9, 11, 12),
+                                    (6, 13))
+    assert (inst.U, inst.D, inst.U2, inst.D2, inst.B) == (
+        (2, 4, 5, 8, 11), (4, 9, 11, 12), (2, 4, 5, 8, 11), (4, 9, 11, 12),
+        (6, 13))
+    assert inst == ShuffleInstance(4, 3, (2, 4, 5, 8, 11), (4, 9, 11, 12),
+                                   (2, 4, 5, 8, 11), (4, 9, 11, 12), (6, 13))
+    # a shuffle that moves a dent keeps two specs
+    moved = ShuffleInstance(1, 1, [1, 3], [2], [1, 2], [3])
+    assert moved.spec_b is not moved.spec_a
+    assert moved.spec_b == make_spec(1, 1, (1, 2), (3,))
+
+
+@pytest.mark.parametrize("U2, D2", [
+    ([3, 1], [2]),  # NotSorted
+    ([1, 1], [2]),  # DuplicateEntry
+    ([0, 3], [2]),  # PositionOutOfRange
+    (["a", 3], [2]),  # not an int
+    ([1, 3], [2, 2]),  # U2 matches U, D2 duplicates
+    ([1, 3], [9]),  # U2 matches U, D2 past the base length
+    ([1, 3], [6]),  # U2 matches U, D2 collides with the barrier
+    ([1, 3], ["b"]),  # U2 matches U, D2 not an int
+    ([3, 1], ["b"]),  # both bad: U2 is reported, as make_spec reports it
+    ([1, 3], [4]),  # a valid spec that changes the union
+])
+def test_a_bad_second_side_raises_what_make_spec_raises(U2, D2):
+    try:
+        make_spec(2, 1, U2, D2, [6])
+    except ValueError as exc:
+        want = exc
+    else:
+        want = SpecError("shuffle must preserve the union and the "
+                         "intersection of dents")
+    with pytest.raises(ValueError) as got:
+        ShuffleInstance(2, 1, [1, 3], [2], U2, D2, [6])
+    assert (type(got.value), str(got.value)) == (type(want), str(want))
+
+
 def test_invariant_checks_survive_optimize_flag():
     # python -O strips assert statements; these checks must still run
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -96,6 +96,78 @@ def test_check_barrier_independence():
     assert same.passed
 
 
+def _count_calls(monkeypatch, engine):
+    """Record every spec theorems passes to engine ("count_axis" or
+    "qcount_axis")."""
+    real = getattr(theorems, engine)
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(theorems, engine, counted)
+    return calls
+
+
+DEMO_DENTS = dict(x=4, y=3, U=(2, 4, 5, 8, 11), D=(4, 9, 11, 12))
+DEMO_IDENT = ShuffleInstance(**DEMO_DENTS, U2=DEMO_DENTS["U"],
+                             D2=DEMO_DENTS["D"])
+DEMO_FLIP = ShuffleInstance(**DEMO_DENTS, U2=(4, 5, 8, 11),
+                            D2=(2, 4, 9, 11, 12))
+BARRIER_SETS = [[], [6], [6, 13]]
+
+
+@pytest.mark.parametrize("check, engine, ident, moved, calls", [
+    (check_thm1, "count_axis", IDENT, SWAP, (1, 2)),
+    (check_thm2, "count_axis", IDENT, SWAP, (1, 2)),
+    (check_pair_product, "count_axis", IDENT, SWAP, (2, 4)),
+    (check_thm3, "qcount_axis", IDENT, SWAP, (1, 2)),
+    (lambda inst: check_barrier_independence(inst, BARRIER_SETS),
+     "count_axis", DEMO_IDENT, DEMO_FLIP,
+     (len(BARRIER_SETS), 2 * len(BARRIER_SETS))),
+], ids=["thm1", "thm2", "pair_product", "thm3", "barrier"])
+def test_a_check_counts_each_distinct_region_once(monkeypatch, check, engine,
+                                                   ident, moved, calls):
+    counted = _count_calls(monkeypatch, engine)
+    assert check(ident).passed
+    n_ident = len(counted)
+    assert check(moved).passed
+    assert (n_ident, len(counted) - n_ident) == calls
+    # each distinct spec once: an engine never sees one spec twice per call
+    assert len(set(counted[:n_ident])) == n_ident
+    # nothing survives a check: the same check on the same instance
+    # counts again
+    counted.clear()
+    check(ident)
+    assert len(counted) == calls[0]
+
+
+def test_asym_table_counts_each_row_of_an_identity_table_once(monkeypatch):
+    c = ClusterSpec((("up", "down", "up"), ("down",)), (2,))
+    c2 = ClusterSpec((("up", "up", "down"), ("down",)), (2,))
+    counted = _count_calls(monkeypatch, "count_axis")
+    assert all(r.deviation == 0 for r in asym_table(c, c, 1, 1, 3).rows)
+    assert len(counted) == 3
+    asym_table(c, c2, 1, 1, 3)
+    assert len(counted) == 3 + 6
+
+
+@pytest.mark.parametrize("kind, witness, bad_label", [
+    ("thm2_pp_control", dict(x=2, y=1, U=[1, 2], D=[3, 4]), "collapsed"),
+    ("thm3_gap_control", dict(x=2, y=1, U=[1, 4], D=[2, 3]),
+     "integer gap factor"),
+], ids=["thm2_pp", "thm3_gap"])
+def test_negative_controls_reject_their_wrong_formula_on_an_identity_shuffle(
+        kind, witness, bad_label):
+    # a drawn witness may move no dent; the wrong formula must still fail
+    # there, with both sides one region
+    payload = dict(witness, U2=witness["U"], D2=witness["D"], B=[])
+    report = run_task((kind, payload))
+    assert report.passed
+    assert report.rhs == f"{bad_label}: False"
+
+
 def test_check_barrier_independence_detects_corruption(monkeypatch):
     # harness self-test: a corrupted count must flip the verdict
     import dentedhex.theorems as th
