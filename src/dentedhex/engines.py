@@ -149,10 +149,11 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from .exactnum import ExactnessError, QPoly, digit_width
-from .formulas import _factorials, delta, schur_ones
+from .formulas import _superfactorial, delta, schur_ones
 from .lattice import (LOZENGE_MATES, Lozenge, Tiling, TriangularRegion,
                       ValidatedSpec, _dual_graph)
 
@@ -319,12 +320,12 @@ def _hankel_det(moments: Sequence[int], n: int) -> int:
 
 
 def _moments(weights: Sequence[int], nodes: Sequence[int], y: int) -> list[int]:
-    """sum of weights[i] * nodes[i]^m for m < 2y-1."""
-    out = [0] * (2 * y - 1)
-    for w, z in zip(weights, nodes):
-        for m in range(len(out)):
-            out[m] += w
-            w *= z
+    """sum of weights[i] * nodes[i]^m for m < 2y-1, y >= 1: one pass of
+    map and one sum per power."""
+    out = [sum(weights)]
+    for _ in range(2 * y - 2):
+        weights = list(map(mul, weights, nodes))
+        out.append(sum(weights))
     return out
 
 
@@ -333,11 +334,13 @@ def count_axis(spec: ValidatedSpec) -> int:
     U, D, y = spec.U, spec.D, spec.y
     if not y:  # no crossings: the two semihexagons of the flat region
         return schur_ones(U) * schur_ones(D)
-    free = spec.free
-    weights = [prod(abs(s - t) for t in U + D) for s in free]
+    free, dents = spec.free, U + D
+    # s is free, so no factor s - t is 0: only the sign differs from
+    # prod |s - t|
+    weights = [abs(prod(map(s.__sub__, dents))) for s in free]
     det = _hankel_det(_moments(weights, free, y), y)
-    out, rem = divmod(delta(U) * delta(D) * det,
-                      _factorials(0, len(U) + y) * _factorials(0, len(D) + y))
+    den = _superfactorial(len(U) + y) * _superfactorial(len(D) + y)
+    out, rem = divmod(delta(U) * delta(D) * det, den)
     if rem:
         raise ExactnessError(f"count_axis({spec.to_json_dict()}) is not an "
                              "integer")

@@ -143,9 +143,11 @@ def engine_corpus(seed: int = 7, size: int = 300) -> list[ValidatedSpec]:
     Deterministic in the seed. Starts from fixed anchors (degenerate
     regions and pure hexagons) and fills up with random dented specs,
     deduplicated, all within CORPUS_BOUNDS. Raises ValueError at once
-    when size exceeds CORPUS_MAX_SIZE, and when 10 * size random draws
-    leave it short.
+    when size is negative or exceeds CORPUS_MAX_SIZE, and when 10 * size
+    random draws leave it short.
     """
+    if size < 0:
+        raise ValueError(f"corpus: size must be at least 0, got {size}")
     if size > CORPUS_MAX_SIZE:
         raise ValueError(f"corpus: size {size} exceeds {CORPUS_MAX_SIZE}, "
                          "the number of distinct specs within the corpus "
@@ -322,7 +324,7 @@ def _asym_tasks(count: int | None) -> list[Task]:
     # counts a hexagon of side about N, and the time grows steeply with N
     # (45 rows took 12.7 s and 60 over 100 s, Python 3.11 on one core of a
     # 2-vCPU machine): a count shortens the tables, never past 6 rows
-    n_max = max(2, min(count or 6, 6))
+    n_max = max(2, min(6 if count is None else count, 6))
     udu, uud = ["up", "down", "up"], ["up", "up", "down"]
     tables = (([[udu, ["down"]], [2]], [[uud, ["down"]], [2]], "strict_decay"),
               ([[udu, ["down"]], [2]], [[udu, ["down"]], [2]], "all_zero"),
@@ -336,7 +338,10 @@ def build_suite(name: str, seed: int = 7,
                 count: int | None = None) -> list[Task]:
     """The deterministic task list for one suite: its fixed tasks, a task
     of each check kind per kept draw, then each control on its first
-    witness among the kept draws."""
+    witness among the kept draws. A count, when given, must be at least
+    1."""
+    if count is not None and count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     if name == "asym":
         return _asym_tasks(count)
     if name not in _SUITES:
@@ -344,7 +349,7 @@ def build_suite(name: str, seed: int = 7,
     suite = _SUITES[name]
     rng = random.Random(f"{seed}:{name}")
     tasks, kept = list(suite.fixed), []
-    while len(kept) < (count or suite.count):
+    while len(kept) < (suite.count if count is None else count):
         drawn = suite.draw(rng)
         payload = suite.payload(drawn)
         if payload is not None:

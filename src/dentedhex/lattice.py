@@ -175,14 +175,14 @@ def make_spec(x: int, y: int, U: Sequence[int] = (), D: Sequence[int] = (),
             f"barriers {sorted(barred & dents)} collide with dents")
     if len(B) > x:
         raise TooManyBarriers(f"{len(B)} barriers but x={x}")
-    spec = ValidatedSpec(x, y, U, D, B)
+    L = x + y + len(dents)  # spec.L, without building the union again
     blocked = dents | barred
-    if blocked and max(blocked) > spec.L:
+    if blocked and max(blocked) > L:
         for v in blocked:
-            if v > spec.L:
+            if v > L:
                 raise PositionOutOfRange(
-                    f"position {v} exceeds the base length {spec.L}")
-    return spec
+                    f"position {v} exceeds the base length {L}")
+    return ValidatedSpec(x, y, U, D, B)
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 
 from dentedhex import engines, formulas, lattice
 from dentedhex.engines import (RegionTooLarge, _count_bound, _hankel_det,
-                               count_axis, count_brute, enumerate_tilings,
-                               qcount_axis, qcount_brute)
+                               _moments, count_axis, count_brute,
+                               enumerate_tilings, qcount_axis, qcount_brute)
 from dentedhex.exactnum import ExactnessError, QPoly, digit_width
 from dentedhex.formulas import clp_q_dents, pp, schur_ones
 from dentedhex.harness import demo_spec, engine_corpus, random_region_spec
@@ -714,6 +714,29 @@ def _leibniz_det(m):
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def _moments_node_by_node(weights, nodes, y):
+    """_moments as a double loop: each node's powers, one at a time."""
+    out = [0] * (2 * y - 1)
+    for w, z in zip(weights, nodes):
+        for m in range(len(out)):
+            out[m] += w
+            w *= z
+    return out
+
+
+def test_moments_match_the_node_by_node_loop():
+    rng = random.Random(30)
+    for y in range(1, 6):
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            weights = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            nodes = [rng.randint(-40, 40) for _ in range(n)]
+            given = list(weights)
+            assert (_moments(weights, nodes, y)
+                    == _moments_node_by_node(weights, nodes, y))
+            assert weights == given  # the caller's list is left alone
 
 
 def test_hankel_det():

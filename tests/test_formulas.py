@@ -4,10 +4,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
+from dentedhex import formulas
 from dentedhex.engines import count_brute, qcount_axis, qcount_brute
 from dentedhex.exactnum import ExactnessError, QPoly, QRatio
 from dentedhex.formulas import (IncompatibleClusters, ShuffleInstance,
@@ -28,6 +30,25 @@ def test_pp_values():
     assert pp(2, 2, 2) == 20
     # symmetric in its arguments
     assert pp(2, 3, 4) == pp(4, 2, 3) == pp(3, 4, 2)
+
+
+@pytest.mark.parametrize("order", [range(40, -1, -1), range(41)],
+                         ids=["largest_first", "smallest_first"])
+def test_superfactorial_table_is_exact_in_either_order(order, monkeypatch):
+    # from an empty table, one read grows it to n at once and the next
+    # reads only look up; read the other way, every read grows it by one
+    monkeypatch.setattr(formulas, "_SUPERFACTORIALS", [1])
+    for n in order:
+        assert formulas._superfactorial(n) == prod(
+            factorial(k) for k in range(n))
+    assert len(formulas._SUPERFACTORIALS) == 41
+
+
+def test_schur_ones_of_the_first_n_positions_is_1():
+    # delta((1, ..., n)) is sf(n) itself: the quotient is 1, and not an
+    # ExactnessError, only if every table entry through n = 80 is exact
+    for n in range(81):
+        assert schur_ones(tuple(range(1, n + 1))) == 1
 
 
 def test_pp_q():

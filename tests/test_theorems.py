@@ -15,8 +15,8 @@ from dentedhex.formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
                                 _q_shuffle_rhs_alt_shift,
                                 _q_shuffle_rhs_integer_gap, shuffle_rhs)
 from dentedhex.harness import (SUITE_NAMES, build_suite, demo_spec,
-                               random_region_spec, random_shuffle_instance,
-                               run_suite, run_task)
+                               engine_corpus, random_region_spec,
+                               random_shuffle_instance, run_suite, run_task)
 from dentedhex.lattice import (ClusterSpec, SpecError, build_region,
                                make_spec, spec_from_json_dict)
 from dentedhex.theorems import (NoDistinctAlphaBeta, asym_table,
@@ -403,6 +403,22 @@ def test_suite_task_lists_are_pinned():
                              "0194382856e4c28d70b0ba6d80aca838")
     with pytest.raises(ValueError, match="unknown suite"):
         build_suite("nope")
+
+
+@pytest.mark.parametrize("name", ["thm1", "asym"])
+def test_build_suite_refuses_a_count_below_1(name):
+    # a count of 0 is no request for the default count (200 thm1 draws,
+    # 6-row asym tables): it is refused, as the CLI's --count refuses it
+    for count in (0, -3):
+        with pytest.raises(ValueError, match=f"got {count}$"):
+            build_suite(name, count=count)
+
+
+def test_engine_corpus_refuses_a_negative_size():
+    # specs[:-1] would drop the last spec, not build an empty corpus
+    with pytest.raises(ValueError, match="size must be at least 0, got -1$"):
+        engine_corpus(size=-1)
+    assert engine_corpus(size=0) == []
 
 
 @pytest.mark.parametrize("cpus, workers", [(4, [4]), (64, [5]), (1, []),
