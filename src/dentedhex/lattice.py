@@ -224,12 +224,6 @@ class TriangularRegion:
     triangles: frozenset
     forbidden_vertical: frozenset
 
-    def up_count(self) -> int:
-        return sum(1 for t in self.triangles if t.up)
-
-    def down_count(self) -> int:
-        return sum(1 for t in self.triangles if not t.up)
-
     @cached_property
     def sweep_graph(self):
         """_dual_graph(self, _sweep), built once: the graph count_brute and

@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from dentedhex import exactnum
 from dentedhex.exactnum import (MUL_CROSSOVER_PAIRS, InexactDivision, QPoly,
                                 QRatio, ZeroDenominator, one_minus_q_quotient)
 
@@ -123,7 +124,14 @@ def test_mul_with_an_operand_of_at_most_two_terms():
     assert assert_product(ones, step) == want == assert_product(step, ones)
 
 
-def test_sparse_product_is_four_terms():
+def _unpacked(*args):
+    raise AssertionError("a sparse product packed its exponent span")
+
+
+def test_sparse_product_is_four_terms(monkeypatch):
+    # a 2-term operand is multiplied term by term: packing would lay out
+    # 100,002 digits for these four terms
+    monkeypatch.setattr(exactnum, "_pack", _unpacked)
     p = (1 + QPoly.monomial(100000)) * (1 + q)
     assert dict(p.items()) == {0: 1, 1: 1, 100000: 1, 100001: 1}
 
