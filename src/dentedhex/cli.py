@@ -42,6 +42,9 @@ def _load_spec(path: str):
 
 def _load_clusters(path: str) -> ClusterSpec:
     obj = _read_json(path)
+    unknown = set(obj) - {"clusters", "gaps"} if isinstance(obj, dict) else ()
+    if unknown:
+        raise SpecError(f"unknown clusters keys: {sorted(unknown)}")
     if (not isinstance(obj, dict)
             or not isinstance(obj.get("clusters"), list)
             or not isinstance(obj.get("gaps"), list)
@@ -213,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_region(p)
         p.add_argument("--engine", choices=("axis", "brute"), default="axis")
         p.add_argument("--limit", type=_int_at_least(0), default=None,
-                       help="brute-force triangle budget")
+                       help="brute-force triangle budget; only --engine "
+                       "brute reads it")
         p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("ratio", help="predicted count ratio of two regions")

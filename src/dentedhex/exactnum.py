@@ -62,6 +62,11 @@ each operand's exponent span, not its term count. The term-by-term
 branch does not: (1 + q^100000) * (1 + q) is 4 term pairs and takes
 microseconds. A sparse product above the crossover still pays for its
 span.
+
+Errors: ExactnessError when an exact result breaks an invariant that
+holds by construction, and the builtin ZeroDivisionError when a QRatio
+has a zero denominator or one that vanishes to higher order at q = 1
+than its numerator.
 """
 
 from __future__ import annotations
@@ -73,16 +78,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 
-class ZeroDenominator(ZeroDivisionError):
-    """A ratio of polynomials was built with a zero denominator."""
-
-
-class InexactDivision(ArithmeticError):
-    """An exact polynomial quotient was requested but a remainder is left."""
-
-
 class ExactnessError(ArithmeticError):
-    """An exact result broke an invariant it must satisfy by construction.
+    """An exact result broke an invariant it must satisfy by construction,
+    such as a remainder left by one_minus_q_quotient.
 
     Raised instead of a bare assert so the check still runs under
     ``python -O``.
@@ -322,7 +320,8 @@ def one_minus_q_quotient(num_exps: Iterable[int], den_exps: Iterable[int]) -> QP
     recurrence r[k] = p[k] + r[k-b], which is exact iff the top b
     coefficients vanish. Both closed-form q-counts, formulas.pp_q and
     formulas.clp_q_dents, are one call each, so it avoids general
-    polynomial division.
+    polynomial division. Every caller divides by a theorem, so a remainder
+    is a broken invariant: ExactnessError.
     """
     cn = Counter(int(a) for a in num_exps)
     cd = Counter(int(b) for b in den_exps)
@@ -340,12 +339,12 @@ def one_minus_q_quotient(num_exps: Iterable[int], den_exps: Iterable[int]) -> QP
     for b in cd.elements():
         n = len(poly)
         if b >= n:  # poly has degree n - 1 and constant term 1
-            raise InexactDivision("denominator factor exceeds degree")
+            raise ExactnessError("denominator factor exceeds degree")
         r = [0] * n
         for k in range(n):
             r[k] = poly[k] + (r[k - b] if k >= b else 0)
         if any(r[n - b:]):
-            raise InexactDivision("denominator factor does not divide")
+            raise ExactnessError("denominator factor does not divide")
         poly = r[: n - b]
     return QPoly({e: v for e, v in enumerate(poly) if v})
 
@@ -363,7 +362,7 @@ class QRatio:
 
     def __post_init__(self):
         if not self.den:
-            raise ZeroDenominator("QRatio denominator is zero")
+            raise ZeroDivisionError("QRatio denominator is zero")
 
     @classmethod
     def from_int(cls, n: int) -> "QRatio":
@@ -394,7 +393,7 @@ class QRatio:
             j += 1
         d = sum(den.values())
         if d == 0:
-            raise ZeroDenominator("denominator vanishes to higher order at q=1")
+            raise ZeroDivisionError("denominator vanishes to higher order at q=1")
         return Fraction(sum(num.values()), d)
 
     def render(self) -> str:

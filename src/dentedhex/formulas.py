@@ -31,10 +31,6 @@ from .lattice import (ClusterSpec, SpecError, ValidatedSpec, UP, DOWN,
                       make_spec)
 
 
-class IncompatibleClusters(SpecError):
-    pass
-
-
 def pp(a: int, b: int, c: int) -> int:
     """Boxed plane-partition count: prod (i+j+k-1)/(i+j+k-2) over the box.
 
@@ -317,20 +313,19 @@ def asym_rhs(c: ClusterSpec, c2: ClusterSpec) -> Fraction:
     the product over clusters of (s+ s-) / (s+' s-'), where s+ and s- count
     the dented semihexagons of a cluster's up and of its down dents, at
     positions local to the cluster. The clusters must match in number,
-    lengths, gaps and, cluster by cluster, up count; IncompatibleClusters
-    otherwise."""
+    lengths, gaps and, cluster by cluster, up count; SpecError otherwise,
+    naming the first that differs."""
     if c.lengths != c2.lengths:
-        raise IncompatibleClusters(
-            f"cluster lengths differ: {c.lengths} vs {c2.lengths}")
+        raise SpecError(f"cluster lengths differ: {c.lengths} vs {c2.lengths}")
     if c.gaps != c2.gaps:
-        raise IncompatibleClusters(f"gaps differ: {c.gaps} vs {c2.gaps}")
+        raise SpecError(f"gaps differ: {c.gaps} vs {c2.gaps}")
     # a pair of dents in different clusters gives a factor that grows with
     # the scale; these cancel between the sides only when every cluster
     # keeps its up count, and the product is the limit only then
     for k, (a, b) in enumerate(zip(c.clusters, c2.clusters)):
         if a.count(UP) != b.count(UP):
-            raise IncompatibleClusters(f"up counts differ in clusters[{k}]: "
-                                       f"{a.count(UP)} vs {b.count(UP)}")
+            raise SpecError(f"up counts differ in clusters[{k}]: "
+                            f"{a.count(UP)} vs {b.count(UP)}")
     out = Fraction(1)
     for a, b in zip(c.clusters, c2.clusters):
         for tok in (UP, DOWN):

@@ -44,31 +44,8 @@ from .exactnum import ExactnessError
 
 
 class SpecError(ValueError):
-    """Base class for invalid region descriptions."""
-
-
-class NotSorted(SpecError):
-    pass
-
-
-class DuplicateEntry(SpecError):
-    pass
-
-
-class PositionOutOfRange(SpecError):
-    pass
-
-
-class BarrierOverlap(SpecError):
-    pass
-
-
-class TooManyBarriers(SpecError):
-    pass
-
-
-class GeometryMismatch(SpecError):
-    pass
+    """Invalid input, such as a region or cluster description that breaks
+    a rule; the message names the first fault found."""
 
 
 UP = "up"
@@ -149,12 +126,12 @@ def _checked_positions(name: str, values: Iterable[int]) -> tuple[int, ...]:
     if out and (out[0] < 1 or not all(map(int.__lt__, out, out[1:]))):
         for v in out:
             if v < 1:
-                raise PositionOutOfRange(f"{name} position {v} is not >= 1")
+                raise SpecError(f"{name} position {v} is not >= 1")
         for a, b in zip(out, out[1:]):
             if a == b:
-                raise DuplicateEntry(f"{name} contains {a} twice")
+                raise SpecError(f"{name} contains {a} twice")
             if a > b:
-                raise NotSorted(
+                raise SpecError(
                     f"{name} is not strictly increasing at {a},{b}")
     return out
 
@@ -171,17 +148,16 @@ def make_spec(x: int, y: int, U: Sequence[int] = (), D: Sequence[int] = (),
     dents = set(U) | set(D)
     barred = set(B)
     if not dents.isdisjoint(barred):
-        raise BarrierOverlap(
+        raise SpecError(
             f"barriers {sorted(barred & dents)} collide with dents")
     if len(B) > x:
-        raise TooManyBarriers(f"{len(B)} barriers but x={x}")
+        raise SpecError(f"{len(B)} barriers but x={x}")
     L = x + y + len(dents)  # spec.L, without building the union again
     blocked = dents | barred
     if blocked and max(blocked) > L:
         for v in blocked:
             if v > L:
-                raise PositionOutOfRange(
-                    f"position {v} exceeds the base length {L}")
+                raise SpecError(f"position {v} exceeds the base length {L}")
     return ValidatedSpec(x, y, U, D, B)
 
 
@@ -338,7 +314,7 @@ def reflect_positions(S: Sequence[int], L: int) -> tuple[int, ...]:
     out = []
     for s in S:
         if not 1 <= s <= L:
-            raise PositionOutOfRange(f"position {s} outside [1..{L}]")
+            raise SpecError(f"position {s} outside [1..{L}]")
         out.append(L + 1 - s)
     return tuple(sorted(out))
 
@@ -383,8 +359,7 @@ def clusters_to_spec(c: ClusterSpec, x: int, y: int) -> ValidatedSpec:
     of the base exactly (east attachment is then automatic).
     """
     if sum(c.gaps) != x + y:
-        raise GeometryMismatch(
-            f"gaps sum to {sum(c.gaps)}, expected x+y={x + y}")
+        raise SpecError(f"gaps sum to {sum(c.gaps)}, expected x+y={x + y}")
     U: list[int] = []
     D: list[int] = []
     pos = 1

@@ -36,10 +36,6 @@ from .lattice import (SpecError, ValidatedSpec, build_region,
                       clusters_to_spec, make_spec, triangle_count)
 
 
-class NoDistinctAlphaBeta(SpecError):
-    """The condensation recurrence needs two distinct free axis positions."""
-
-
 @dataclass
 class CheckReport:
     name: str
@@ -162,7 +158,7 @@ def check_kuo(spec: ValidatedSpec) -> CheckReport:
         raise SpecError("recurrence needs x >= 1 and y >= 1")
     free = spec.free
     if len(free) < 2:
-        raise NoDistinctAlphaBeta("need two distinct removable positions")
+        raise SpecError("need two distinct removable positions")
     alpha, beta = free[0], free[-1]
 
     def mq(x, y, extra):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dentedhex
-from dentedhex import cli, harness, theorems
+from dentedhex import cli, formulas, harness, theorems
 from dentedhex.cli import main
 from dentedhex.engines import count_axis, enumerate_tilings, qcount_axis
 from dentedhex.exactnum import ExactnessError
@@ -123,6 +123,22 @@ def test_ratio_check_fails_on_corrupted_count(tmp_path, monkeypatch, thm,
     b = _spec_file(tmp_path, "b.json", {"x": 1, "y": 1, "U": [2, 3], "D": [1], "B": []})
     assert main(["ratio", "--thm", thm, "--spec-a", a, "--spec-b", b,
                  "--check"]) == 2
+
+
+def test_ratio_exits_2_when_a_q_quotient_leaves_a_remainder(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # a planted extra factor 1 - q^97 in pp_q's denominators leaves
+    # one_minus_q_quotient a remainder: a broken invariant, so exit 2
+    real = formulas._pp_exponents
+    monkeypatch.setattr(formulas, "_pp_exponents",
+                        lambda *abc: (real(*abc)[0], [*real(*abc)[1], 97]))
+    a = _spec_file(tmp_path, "a.json", {"x": 1, "y": 1, "U": [1, 3], "D": [2], "B": []})
+    b = _spec_file(tmp_path, "b.json", {"x": 1, "y": 1, "U": [2, 3], "D": [1], "B": []})
+    assert main(["ratio", "--thm", "3", "--spec-a", a, "--spec-b", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: denominator factor exceeds degree\n"
 
 
 def test_ratio_thm1_check_rejects_barriers(tmp_path, capsys):
@@ -483,6 +499,22 @@ def test_asym_rejects_malformed_clusters(tmp_path, obj, capsys):
         assert captured.err.startswith("error: clusters JSON needs clusters "
                                        "and gaps")
         assert captured.err.count("\n") == 1
+
+
+def test_asym_refuses_unknown_cluster_keys(tmp_path, capsys):
+    # as spec files do: a misspelt key is an error, not silently ignored
+    bad = _spec_file(tmp_path, "bad.json",
+                     {"clusters": [["up", "down", "up"], ["down"]],
+                      "gaps": [2], "x": 5})
+    good = _spec_file(tmp_path, "good.json",
+                      {"clusters": [["up", "up", "down"], ["down"]],
+                       "gaps": [2]})
+    for pair in ([bad, good], [good, bad]):
+        assert main(["asym", "--clusters", pair[0], "--clusters-alt", pair[1],
+                     "--x", "1", "--y", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown clusters keys: ['x']\n"
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):

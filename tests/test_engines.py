@@ -13,7 +13,7 @@ from dentedhex.engines import (RegionTooLarge, _count_bound, _hankel_det,
                                _moments, count_axis, count_brute,
                                enumerate_tilings, qcount_axis, qcount_brute)
 from dentedhex.exactnum import ExactnessError, QPoly, digit_width
-from dentedhex.formulas import clp_q_dents, pp, schur_ones
+from dentedhex.formulas import clp_q_dents, pp, pp_q, schur_ones
 from dentedhex.harness import demo_spec, engine_corpus, random_region_spec
 from dentedhex.theorems import crossing_subsets
 from dentedhex.lattice import (LOZENGE_MATES, Triangle, TriangularRegion,
@@ -786,6 +786,11 @@ PLANTED_FAULTS = {
                     lambda: clp_q_dents((1, 3)),
                     r"^clp_q_dents\(\(1, 3\)\) is not a polynomial with "
                     r"coefficients summing to 3$"),
+    "one_minus_q_quotient": (formulas, "_pp_exponents",
+                             lambda f: lambda *abc: (f(*abc)[0],
+                                                     [*f(*abc)[1], 97]),
+                             lambda: pp_q(2, 2, 2),
+                             "^denominator factor exceeds degree$"),
     "build_region": (lattice, "dent_triangles",
                      lambda f: lambda spec: [*f(spec), Triangle(0, 0, True)],
                      lambda: build_region(make_spec(2, 2)),

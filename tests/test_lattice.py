@@ -7,10 +7,8 @@ import pytest
 
 from dentedhex.harness import (CORPUS_BOUNDS, CORPUS_MAX_SIZE, demo_spec,
                                engine_corpus, random_region_spec)
-from dentedhex.lattice import (LOZENGE_MATES, BarrierOverlap, ClusterSpec,
-                               DuplicateEntry, GeometryMismatch, Lozenge,
-                               NotSorted, PositionOutOfRange, SpecError,
-                               TooManyBarriers, Triangle, UP, ValidatedSpec,
+from dentedhex.lattice import (LOZENGE_MATES, ClusterSpec, Lozenge,
+                               SpecError, Triangle, UP, ValidatedSpec,
                                build_region, clusters_to_spec,
                                dent_triangles, lozenge_triangles, make_spec,
                                spec_from_json_dict, reflect_positions,
@@ -47,56 +45,67 @@ def test_make_spec_allocates_nothing_in_the_base_length():
     assert spec.L == 10**8
 
 
-@pytest.mark.parametrize("raw,err", [
-    ((0, 0, (), (), (1,)), TooManyBarriers),
-    ((2, 1, (1, 1), ()), DuplicateEntry),
-    ((2, 1, (3, 1), ()), NotSorted),
-    ((2, 1, (9,), ()), PositionOutOfRange),
-    ((2, 1, (1,), (), (1,)), BarrierOverlap),
-    ((2, 1, (0,), ()), PositionOutOfRange),
+# Every check raises SpecError, so the message pins which one fired; each
+# id names that check.
+@pytest.mark.parametrize("raw,msg", [
+    pytest.param((0, 0, (), (), (1,)), "1 barriers but x=0",
+                 id="raw0-TooManyBarriers"),
+    pytest.param((2, 1, (1, 1), ()), "U contains 1 twice",
+                 id="raw1-DuplicateEntry"),
+    pytest.param((2, 1, (3, 1), ()), "U is not strictly increasing at 3,1",
+                 id="raw2-NotSorted"),
+    pytest.param((2, 1, (9,), ()), "position 9 exceeds the base length 4",
+                 id="raw3-PositionOutOfRange"),
+    pytest.param((2, 1, (1,), (), (1,)), "barriers [1] collide with dents",
+                 id="raw4-BarrierOverlap"),
+    pytest.param((2, 1, (0,), ()), "U position 0 is not >= 1",
+                 id="raw5-PositionOutOfRange"),
 ])
-def test_validate_errors(raw, err):
-    with pytest.raises(err):
-        make_spec(*raw)
-
-
-# Inputs with two faults each, and the first fault make_spec names: the
-# exception class and message are pinned exactly, so a faster validator
-# must keep the order of its checks and the wording of each error.
-@pytest.mark.parametrize("raw,err,msg", [
-    # nonpositive and unsorted: every entry is checked for >= 1 first
-    ((2, 1, (3, 0), ()), PositionOutOfRange, "U position 0 is not >= 1"),
-    ((2, 1, (2, 1, -1), ()), PositionOutOfRange, "U position -1 is not >= 1"),
-    ((3, 1, (), (5, 4, 0)), PositionOutOfRange, "D position 0 is not >= 1"),
-    ((3, 1, (2, 1), (0,)), NotSorted, "U is not strictly increasing at 2,1"),
-    ((2, 1, (1, 1, 0), ()), PositionOutOfRange, "U position 0 is not >= 1"),
-    # duplicate and out of range: order within a list before the base length
-    ((2, 1, (9, 9), ()), DuplicateEntry, "U contains 9 twice"),
-    ((1, 1, (1,), (7, 7)), DuplicateEntry, "D contains 7 twice"),
-    ((2, 1, (8,), (), (3, 3)), DuplicateEntry, "B contains 3 twice"),
-    ((2, 1, (1, 3), (2,), (9, 1)), NotSorted,
-     "B is not strictly increasing at 9,1"),
-    # overlap and too many barriers: the overlap is named first
-    ((1, 1, (2,), (), (2, 3)), BarrierOverlap,
-     "barriers [2] collide with dents"),
-    ((0, 2, (1,), (1,), (1,)), BarrierOverlap,
-     "barriers [1] collide with dents"),
-    ((1, 0, (5,), (), (5,)), BarrierOverlap,
-     "barriers [5] collide with dents"),
-    ((0, 1, (), (), (9,)), TooManyBarriers, "1 barriers but x=0"),
-    ((-1, 1, (0,)), SpecError, "x and y must be nonnegative"),
-    # two positions past L: the first in the blocked set's iteration order
-    ((1, 0, (17,), (), (9,)), PositionOutOfRange,
-     "position 17 exceeds the base length 2"),
-    ((2, 0, (5, 13), (21,), ()), PositionOutOfRange,
-     "position 13 exceeds the base length 5"),
-    ((1, 0, (3,), (17,), (9,)), PositionOutOfRange,
-     "position 17 exceeds the base length 3"),
-])
-def test_validate_error_precedence(raw, err, msg):
+def test_validate_errors(raw, msg):
     with pytest.raises(SpecError) as info:
         make_spec(*raw)
-    assert type(info.value) is err
+    assert str(info.value) == msg
+
+
+# Inputs with two faults each, and the first fault make_spec names. Every
+# check raises SpecError, so the message, pinned exactly, is what says
+# which check fired: a faster validator must keep the order of its checks
+# and the wording of each error. check names that check in the test id.
+@pytest.mark.parametrize("raw,check,msg", [
+    # nonpositive and unsorted: every entry is checked for >= 1 first
+    ((2, 1, (3, 0), ()), "PositionOutOfRange", "U position 0 is not >= 1"),
+    ((2, 1, (2, 1, -1), ()), "PositionOutOfRange",
+     "U position -1 is not >= 1"),
+    ((3, 1, (), (5, 4, 0)), "PositionOutOfRange", "D position 0 is not >= 1"),
+    ((3, 1, (2, 1), (0,)), "NotSorted", "U is not strictly increasing at 2,1"),
+    ((2, 1, (1, 1, 0), ()), "PositionOutOfRange", "U position 0 is not >= 1"),
+    # duplicate and out of range: order within a list before the base length
+    ((2, 1, (9, 9), ()), "DuplicateEntry", "U contains 9 twice"),
+    ((1, 1, (1,), (7, 7)), "DuplicateEntry", "D contains 7 twice"),
+    ((2, 1, (8,), (), (3, 3)), "DuplicateEntry", "B contains 3 twice"),
+    ((2, 1, (1, 3), (2,), (9, 1)), "NotSorted",
+     "B is not strictly increasing at 9,1"),
+    # overlap and too many barriers: the overlap is named first
+    ((1, 1, (2,), (), (2, 3)), "BarrierOverlap",
+     "barriers [2] collide with dents"),
+    ((0, 2, (1,), (1,), (1,)), "BarrierOverlap",
+     "barriers [1] collide with dents"),
+    ((1, 0, (5,), (), (5,)), "BarrierOverlap",
+     "barriers [5] collide with dents"),
+    ((0, 1, (), (), (9,)), "TooManyBarriers", "1 barriers but x=0"),
+    ((-1, 1, (0,)), "SpecError", "x and y must be nonnegative"),
+    # two positions past L: the first in the blocked set's iteration order
+    ((1, 0, (17,), (), (9,)), "PositionOutOfRange",
+     "position 17 exceeds the base length 2"),
+    ((2, 0, (5, 13), (21,), ()), "PositionOutOfRange",
+     "position 13 exceeds the base length 5"),
+    ((1, 0, (3,), (17,), (9,)), "PositionOutOfRange",
+     "position 17 exceeds the base length 3"),
+])
+def test_validate_error_precedence(raw, check, msg):
+    with pytest.raises(SpecError) as info:
+        make_spec(*raw)
+    assert type(info.value) is SpecError
     assert str(info.value) == msg
 
 
@@ -181,7 +190,7 @@ def test_reflect_positions():
     assert reflect_positions((1, 4), 5) == (2, 5)
     S = (2, 4, 5)
     assert reflect_positions(reflect_positions(S, 14), 14) == S
-    with pytest.raises(PositionOutOfRange):
+    with pytest.raises(SpecError, match=r"^position 6 outside \[1\.\.5\]$"):
         reflect_positions((6,), 5)
 
 
@@ -192,7 +201,7 @@ def test_clusters_to_spec():
     c2 = ClusterSpec(((), ("up", "down"), ()), (1, 1))
     s2 = clusters_to_spec(c2, 1, 1)
     assert (s2.U, s2.D, s2.L) == ((2,), (3,), 4)
-    with pytest.raises(GeometryMismatch):
+    with pytest.raises(SpecError, match=r"^gaps sum to 2, expected x\+y=4$"):
         clusters_to_spec(c, 2, 2)
 
 
@@ -240,7 +249,8 @@ def test_semihex_spec():
     ups = sum(t.up for t in region.triangles)
     assert 2 * ups == len(region.triangles)
     assert {t.b for t in region.triangles} == {0, 1}
-    with pytest.raises(PositionOutOfRange):
+    with pytest.raises(SpecError,
+                       match="^position 3 exceeds the base length 2$"):
         make_spec(1, 0, (3,))
 
 
