@@ -135,9 +135,10 @@ ExactnessError.
 
 Both engines are polynomial in x, y and the dent count. The count's
 moments have O(y log L) digits and hex(60, 60) (1,227 digits) takes about
-1.3 s (Python 3.11, one core of a 2-vCPU machine). The q-version's moments
-have O(k y L) bits, and the Bareiss divisions dominate because CPython's
-big-int division is quadratic: hex(12, 12) takes about 9 s there.
+2 s (a whole `dentedhex count` process, Python 3.11.7 on a shared 2-vCPU
+Xeon VM). The q-version's moments have O(k y L) bits, and the Bareiss
+divisions dominate because CPython's big-int division is quadratic:
+hex(12, 12) takes about 9 s there.
 
 Weight convention (pinned by the calibration test qcount on a one-row
 semihexagon with dent s giving q^(s-1)): only right-tilting lozenges

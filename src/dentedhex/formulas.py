@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 from .exactnum import ExactnessError, QPoly, QRatio, one_minus_q_quotient
 from .lattice import (ClusterSpec, SpecError, ValidatedSpec, UP, DOWN,
-                      make_spec)
+                      _checked_positions, make_spec)
 
 
 def pp(a: int, b: int, c: int) -> int:
@@ -186,15 +186,20 @@ class ShuffleInstance:
         if (U2, D2) == (a.U, a.D):
             b = a
         else:
-            b = make_spec(self.x, self.y, U2, D2, self.B)
+            U2 = _checked_positions("U", U2)
+            D2 = _checked_positions("D", D2)
             # U and D are sets, so the multiset U + D holds their union
             # once and their intersection twice: one comparison checks both
-            if sorted(a.U + a.D) != sorted(b.U + b.D):
+            if sorted(a.U + a.D) != sorted(U2 + D2):
+                make_spec(a.x, a.y, U2, D2, a.B)  # raises a bad side first
                 raise SpecError("shuffle must preserve the union and the "
                                 "intersection of dents")
-        # frozen: fill the fields past __setattr__, with the validated tuples
-        vars(self).update(U=a.U, D=a.D, U2=b.U, D2=b.D, B=a.B, spec_a=a,
-                          spec_b=b)
+            # the same dented positions keep L, the barrier collisions and
+            # the position bounds that make_spec accepted for a
+            b = ValidatedSpec(a.x, a.y, U2, D2, a.B)
+        # frozen: fill the fields past __setattr__, with the validated values
+        vars(self).update(x=a.x, y=a.y, U=a.U, D=a.D, U2=b.U, D2=b.D, B=a.B,
+                          spec_a=a, spec_b=b)
 
     @property
     def n(self) -> int:

@@ -89,6 +89,11 @@ class ValidatedSpec:
 
     It holds the five inputs only. L and free are computed on each read:
     a caller that reads free more than once binds it to a local.
+
+    Input from outside always enters through make_spec. A region derived
+    from one that make_spec returned may be built directly, once the code
+    has checked every make_spec rule that the derivation can break; each
+    site that does so names the rule that keeps the region valid.
     """
 
     x: int

@@ -95,10 +95,12 @@ def check_pair_product(inst: ShuffleInstance) -> CheckReport:
         raise SpecError("size-preserving shuffle required here")
     if inst.B:
         raise SpecError("the pair-product identity is stated without barriers")
+    # a flat companion keeps L = x + y + n and its positions, and has no
+    # barriers: every make_spec rule holds
     flat = inst.x + inst.y
     a, b, fa, fb = _count_each(count_axis, (
-        inst.spec_a, inst.spec_b, make_spec(flat, 0, inst.U, inst.D, ()),
-        make_spec(flat, 0, inst.U2, inst.D2, ())))
+        inst.spec_a, inst.spec_b, ValidatedSpec(flat, 0, inst.U, inst.D, ()),
+        ValidatedSpec(flat, 0, inst.U2, inst.D2, ())))
     return CheckReport("pair_product", inst.to_json_dict(),
                        f"{a}*{fb}", f"{b}*{fa}", a * fb == b * fa)
 
@@ -115,9 +117,12 @@ def check_barrier_independence(inst: ShuffleInstance,
                                barrier_sets: Sequence[Sequence[int]]) -> CheckReport:
     """The shuffle ratio does not see the barrier set: all pairwise
     cross-products of counts over the given barrier sets must agree."""
-    specs = [make_spec(inst.x, inst.y, U, D, tuple(B))
-             for B in barrier_sets
-             for U, D in ((inst.U, inst.D), (inst.U2, inst.D2))]
+    specs = []
+    for B in barrier_sets:
+        a = make_spec(inst.x, inst.y, inst.U, inst.D, B)
+        # the partner has a's dent multiset, as inst's sides do, so a's
+        # checks hold for it (see ShuffleInstance.__post_init__)
+        specs += a, ValidatedSpec(a.x, a.y, inst.U2, inst.D2, a.B)
     each = _count_each(count_axis, specs)
     counts = list(zip(each[::2], each[1::2]))
     passed = all(ai * bj == aj * bi
@@ -160,10 +165,15 @@ def check_kuo(spec: ValidatedSpec) -> CheckReport:
     if len(free) < 2:
         raise SpecError("need two distinct removable positions")
     alpha, beta = free[0], free[-1]
+    # the neighbours add free positions to U and keep L; only the barrier
+    # count can break a make_spec rule, at x - 1, so refuse it before
+    # counting anything
+    if len(spec.B) > spec.x - 1:
+        raise SpecError(f"{len(spec.B)} barriers but x={spec.x - 1}")
 
     def mq(x, y, extra):
         U = tuple(sorted(spec.U + extra))
-        return qcount_axis(make_spec(x, y, U, spec.D, spec.B))
+        return qcount_axis(ValidatedSpec(x, y, U, spec.D, spec.B))
 
     lhs = qcount_axis(spec) * mq(spec.x - 1, spec.y - 1, (alpha, beta))
     rhs = (mq(spec.x - 1, spec.y, (beta,)) * mq(spec.x, spec.y - 1, (alpha,))

@@ -409,6 +409,15 @@ def test_an_identity_shuffle_builds_one_spec():
     assert moved.spec_b == make_spec(1, 1, (1, 2), (3,))
 
 
+def test_a_shuffle_holds_the_validated_sizes():
+    # x and y are read as make_spec reads them, so a check that derives a
+    # region from inst.x and inst.y sums ints
+    inst = ShuffleInstance("2", True, [1, 3], [2], [2, 3], [1])
+    assert (inst.x, inst.y) == (2, 1)
+    assert type(inst.x) is type(inst.y) is int
+    assert inst == ShuffleInstance(2, 1, (1, 3), (2,), (2, 3), (1,))
+
+
 @pytest.mark.parametrize("U2, D2", [
     ([3, 1], [2]),  # not increasing
     ([1, 1], [2]),  # a duplicate

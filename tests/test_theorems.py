@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from dentedhex import engines, formulas, theorems
+from dentedhex import engines, formulas, harness, theorems
 from dentedhex.engines import RegionTooLarge, qcount_axis, qcount_brute
 from dentedhex.formulas import (ShuffleInstance, _gen_shuffle_rhs_collapsed_pp,
                                 _q_shuffle_rhs_alt_shift,
@@ -153,6 +153,27 @@ def test_asym_table_counts_each_row_of_an_identity_table_once(monkeypatch):
     assert len(counted) == 3 + 6
 
 
+def test_every_region_a_check_counts_is_what_make_spec_builds(monkeypatch):
+    # the checks build derived regions without make_spec; each must still
+    # be the spec make_spec returns for its own fields
+    counts = _count_calls(monkeypatch, "count_axis")
+    qcounts = _count_calls(monkeypatch, "qcount_axis")
+    shuffles = 0
+    for seed in (7, 8, 9):
+        for name in SUITE_NAMES:
+            for task in build_suite(name, seed=seed):
+                assert run_task(task).passed
+                payload = task[1]
+                if "U2" in payload:
+                    inst = harness._inst_from_payload(payload)
+                    assert inst.spec_b == make_spec(
+                        inst.x, inst.y, inst.U2, inst.D2, inst.B)
+                    shuffles += 1
+    assert shuffles and counts and qcounts
+    for spec in counts + qcounts:
+        assert spec == make_spec(spec.x, spec.y, spec.U, spec.D, spec.B)
+
+
 @pytest.mark.parametrize("kind, witness, bad_label", [
     ("thm2_pp_control", dict(x=2, y=1, U=[1, 2], D=[3, 4]), "collapsed"),
     ("thm3_gap_control", dict(x=2, y=1, U=[1, 4], D=[2, 3]),
@@ -268,6 +289,18 @@ def test_check_kuo_errors():
                        match="^need two distinct removable positions$"):
         # the barrier leaves a single removable axis position
         check_kuo(make_spec(1, 1, (), (), (1,)))
+
+
+def test_check_kuo_refuses_too_many_barriers_before_counting(monkeypatch):
+    # the neighbours at x - 1 would hold more barriers than x - 1; the
+    # check refuses with make_spec's message before any engine runs
+    def no_count(spec):
+        raise AssertionError("counted before refusing")
+
+    monkeypatch.setattr(theorems, "qcount_axis", no_count)
+    with pytest.raises(SpecError) as refused:
+        check_kuo(make_spec(1, 2, (), (), (1,)))
+    assert str(refused.value) == "1 barriers but x=0"
 
 
 def test_kuo_suite_draws_meet_the_recurrence_preconditions():
