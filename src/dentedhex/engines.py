@@ -119,19 +119,19 @@ fix, and qcount_axis takes each one out before it computes:
 
 Those powers join E. It all runs on ints at q = Q = 2^k: each w'(s) is a
 QPoly product of |U|+|D| binomials q^d - 1, packed at Q and shifted by
-k(e(s) - e0) bits, and the moment loop steps from node to node by a shift
-of k(s - s0) bits, with no multiplication. The determinant and the one
-division are exact int operations; the divisor is what is left of c_a c_b,
-a product of factors Q^d - 1, so it is odd. QPoly.from_packed reads the
-quotient back at E' = E plus the powers taken out. So M'_m is k(e0 +
-s0*m) bits shorter than M_m, and the determinant, the divisor and the
-quotient are each shorter by k times the powers they lose. The quotient
-is q^-E' * qcount, a polynomial whose coefficients are nonnegative (they
-count tilings by weight) and sum to count_axis(spec), so none exceeds
-that count; the coefficients of w'(s) sum in absolute value to at most
-2^(|U|+|D|). k = 8 * digit_width of the larger bound keeps every digit
-apart. A remainder, or a digit sum other than the count, raises
-ExactnessError.
+k(e(s) - e0) bits, and each node Q^(s - s0) is the int 1 << k(s - s0).
+The moments come from _moments, the routine count_axis uses. The
+determinant and the one division are exact int operations; the divisor is
+what is left of c_a c_b, a product of factors Q^d - 1, so it is odd.
+QPoly.from_packed reads the quotient back at E' = E plus the powers taken
+out. So M'_m is k(e0 + s0*m) bits shorter than M_m, and the determinant,
+the divisor and the quotient are each shorter by k times the powers they
+lose. The quotient is q^-E' * qcount, a polynomial whose coefficients are
+nonnegative (they count tilings by weight) and sum to count_axis(spec),
+so none exceeds that count; the coefficients of w'(s) sum in absolute
+value to at most 2^(|U|+|D|). k = 8 * digit_width of the larger bound
+keeps every digit apart. A remainder, or a digit sum other than the
+count, raises ExactnessError.
 
 Both engines are polynomial in x, y and the dent count. The count's
 moments have O(y log L) digits and hex(60, 60) (1,227 digits) takes about
@@ -161,8 +161,9 @@ from .lattice import (LOZENGE_MATES, Lozenge, Tiling, TriangularRegion,
 BRUTE_LIMIT = 120
 
 
-class RegionTooLarge(RuntimeError):
-    """The region exceeds the configured brute-force triangle budget."""
+class RegionTooLarge(ValueError):
+    """The region exceeds the configured brute-force triangle budget: bad
+    input, like SpecError, and no caller tells the two apart."""
 
 
 def check_size(m: int, limit: int | None) -> None:
@@ -384,18 +385,16 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
         # w_q(s) = q^e(s) prod_t (q^|s-t| - 1), e(s) = 2s + sum_t min(s, t),
         # which grows with s: the least power is e0 = e(s0)
         e0 = 2 * s0 + sum(min(s0, t) for t in dents)
-        moments = [0] * (2 * y - 1)
+        weights = []
         for s in free:
             w, e = QPoly.one(), 2 * s - e0
             for t in dents:  # s is free, so s != t: the binomial is normal
                 w = w * QPoly._raw({abs(s - t): 1, 0: -1})
                 e += min(s, t)
-            w, shift = w.packed(width) << k * e, k * (s - s0)  # node Q^(s-s0)
-            for m in range(2 * y - 1):
-                moments[m] += w
-                w <<= shift
-        det = _hankel_det(moments, y)
-        # M_m = Q^(e0 + s0 m) * moments[m], so det[M] = Q^low * det
+            weights.append(w.packed(width) << k * e)
+        nodes = [1 << k * (s - s0) for s in free]  # Q^(s - s0)
+        det = _hankel_det(_moments(weights, nodes, y), y)
+        # M_m = Q^(e0 + s0 m) * M'_m, so det[M] = Q^low * det
         low = y * e0 + s0 * y * (y - 1)
     (eU, nU), (eD, nD), (ea, na), (eb, nb) = (
         _dq(T, k) for T in (U, D, range(1, a + 1), range(1, b + 1)))

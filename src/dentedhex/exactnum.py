@@ -205,9 +205,7 @@ class QPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "QPoly":
-        if isinstance(other, int):
-            other = QPoly.monomial(0, other)
-        if not isinstance(other, QPoly):
+        if not isinstance(other, (int, QPoly)):
             return NotImplemented
         return self + (-other)
 

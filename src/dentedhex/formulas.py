@@ -178,16 +178,11 @@ class ShuffleInstance:
 
     def __post_init__(self):
         a = make_spec(self.x, self.y, self.U, self.D, self.B)
-        # an identity shuffle is one region and gets one spec. Positions
-        # are read as make_spec reads them, D2 only once U2 matches, so a
-        # bad U2 or D2 raises what make_spec raises
-        U2 = tuple(map(int, self.U2))
-        D2 = tuple(map(int, self.D2)) if U2 == a.U else self.D2
-        if (U2, D2) == (a.U, a.D):
+        U2 = _checked_positions("U", self.U2)
+        D2 = _checked_positions("D", self.D2)
+        if (U2, D2) == (a.U, a.D):  # an identity shuffle gets one spec
             b = a
         else:
-            U2 = _checked_positions("U", U2)
-            D2 = _checked_positions("D", D2)
             # U and D are sets, so the multiset U + D holds their union
             # once and their intersection twice: one comparison checks both
             if sorted(a.U + a.D) != sorted(U2 + D2):
@@ -242,13 +237,13 @@ def gen_shuffle_rhs(inst: ShuffleInstance) -> Fraction:
 
 
 def _gen_shuffle_rhs_collapsed_pp(inst: ShuffleInstance) -> Fraction:
-    """Negative control: collapse the two size arguments of the primed box
-    factor into their product. Rejected by the engines; kept so the harness
-    can demonstrate that the collapse is wrong."""
-    u, d, u2, d2 = inst.sizes
-    num = schur_ones(inst.U) * schur_ones(inst.D) * pp(u, d, inst.y)
-    den = schur_ones(inst.U2) * schur_ones(inst.D2) * pp(u2 * d2, inst.y, 1)
-    return Fraction(num, den)
+    """Negative control: gen_shuffle_rhs with the primed box factor
+    pp(|U2|, |D2|, y) swapped for pp(|U2| * |D2|, y, 1), its two size
+    arguments collapsed into their product. Rejected by the engines; kept
+    so the harness can demonstrate that the collapse is wrong."""
+    _, _, u2, d2 = inst.sizes
+    return gen_shuffle_rhs(inst) * Fraction(pp(u2, d2, inst.y),
+                                            pp(u2 * d2, inst.y, 1))
 
 
 def q_shift_exponent(inst: ShuffleInstance) -> int:

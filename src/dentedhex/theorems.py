@@ -116,7 +116,11 @@ def check_thm2(inst: ShuffleInstance,
 def check_barrier_independence(inst: ShuffleInstance,
                                barrier_sets: Sequence[Sequence[int]]) -> CheckReport:
     """The shuffle ratio does not see the barrier set: all pairwise
-    cross-products of counts over the given barrier sets must agree."""
+    cross-products of counts over the given barrier sets must agree. The
+    barriers come from barrier_sets only, so inst must have none."""
+    if inst.B:
+        raise SpecError("barrier independence takes its barriers from "
+                        "barrier_sets")
     specs = []
     for B in barrier_sets:
         a = make_spec(inst.x, inst.y, inst.U, inst.D, B)

@@ -10,7 +10,7 @@ import pytest
 
 from dentedhex import engines, formulas, lattice
 from dentedhex.engines import (RegionTooLarge, _count_bound, _hankel_det,
-                               _moments, count_axis, count_brute,
+                               _moments, check_size, count_axis, count_brute,
                                enumerate_tilings, qcount_axis, qcount_brute)
 from dentedhex.exactnum import ExactnessError, QPoly, digit_width
 from dentedhex.formulas import clp_q_dents, pp, pp_q, schur_ones
@@ -291,6 +291,13 @@ def test_region_too_large():
         count_brute(region, limit=10)
     with pytest.raises(RegionTooLarge):
         qcount_brute(region, limit=10)
+
+
+def test_region_too_large_is_bad_input():
+    # a ValueError, like SpecError: the CLI's exit-1 branch catches both
+    with pytest.raises(ValueError,
+                       match="^121 triangles exceeds the limit 120$"):
+        check_size(121, None)
 
 
 def test_oracle_survives_deep_regions():
@@ -737,6 +744,12 @@ def test_moments_match_the_node_by_node_loop():
             assert (_moments(weights, nodes, y)
                     == _moments_node_by_node(weights, nodes, y))
             assert weights == given  # the caller's list is left alone
+    # qcount_axis's input: nodes Q^d = 1 << k*d, weights of many k-bit digits
+    k = 64
+    weights = [rng.getrandbits(k * rng.randint(1, 40)) for _ in range(7)]
+    nodes = [1 << k * d for d in (0, 1, 2, 4, 5, 8, 11)]
+    assert (_moments(weights, nodes, 5)
+            == _moments_node_by_node(weights, nodes, 5))
 
 
 def test_hankel_det():

@@ -96,6 +96,15 @@ def test_check_barrier_independence():
     assert same.passed
 
 
+def test_check_barrier_independence_refuses_barriers_on_the_instance():
+    # the report's instance would print barriers that no count used
+    inst = ShuffleInstance(4, 3, (2, 4, 5, 8, 11), (4, 9, 11, 12),
+                           (4, 5, 8, 11), (2, 4, 9, 11, 12), (6,))
+    with pytest.raises(SpecError, match="^barrier independence takes its "
+                                        "barriers from barrier_sets$"):
+        check_barrier_independence(inst, [[], [13]])
+
+
 def _count_calls(monkeypatch, engine):
     """Record every spec theorems passes to engine ("count_axis" or
     "qcount_axis")."""
