@@ -84,7 +84,10 @@ because sum_S delta(S)^2 prod_{s in S} w(s) is, by Cauchy-Binet over the
 rows S of the Vandermonde matrix [s^j], the y x y Hankel determinant of
 the moments. Every w(s) is positive and there are at least y distinct
 free positions, so the matrix is positive definite: _hankel_det
-eliminates it fraction-free (Bareiss) without pivoting. count_axis makes
+eliminates it fraction-free (Bareiss) without pivoting. After step k each
+entry is a minor of order k+1, and when a step's entries share a power of
+two that fills the pivot's lowest int digit, _hankel_det shifts it out of
+the whole step and keeps count of it. count_axis makes
 one exact division, and its remainder is the count's one integrality
 check. For y > 0 it calls no closed form of formulas, so a wrong
 schur_ones shows as a failed thm2 ratio instead of cancelling from both
@@ -117,11 +120,14 @@ fix, and qcount_axis takes each one out before it computes:
 - dq(T) = q^(sum_{i<j} t_i) prod_{i<j} (q^(t_j - t_i) - 1), for each of
   dq(U), dq(D), c_a and c_b (_dq).
 
-Those powers join E. It all runs on ints at q = Q = 2^k: each w'(s) is a
-QPoly product of |U|+|D| binomials q^d - 1, packed at Q and shifted by
-k(e(s) - e0) bits, and each node Q^(s - s0) is the int 1 << k(s - s0).
-The moments come from _moments, the routine count_axis uses. The
-determinant and the one division are exact int operations; the divisor is
+Those powers join E. It all runs on ints at q = Q = 2^k: each w'(s)
+starts at its first binomial q^d - 1, multiplies in the other |U|+|D| - 1
+as QPolys, is packed at Q and shifted by k(e(s) - e0) bits; with no dents
+it is the int 1 << k(e(s) - e0). Each node Q^(s - s0) is 1 << k(s - s0),
+so _moments, the routine count_axis uses, steps each weight to its next
+power by a left shift of k(s - s0) bits (lshift) where count_axis
+multiplies by s (mul). The determinant and the one division are exact
+int operations; the divisor is
 what is left of c_a c_b, a product of factors Q^d - 1, so it is odd.
 QPoly.from_packed reads the quotient back at E' = E plus the powers taken
 out. So M'_m is k(e0 + s0*m) bits shorter than M_m, and the determinant,
@@ -133,12 +139,23 @@ value to at most 2^(|U|+|D|). k = 8 * digit_width of the larger bound
 keeps every digit apart. A remainder, or a digit sum other than the
 count, raises ExactnessError.
 
+The Bareiss minors carry powers of q as well. A step-k entry is a minor
+of order k+1 of [M'_(i+j)], and by Cauchy-Binet a sum over (k+1)-subsets
+S of the free positions of prod_{s in S} w'(s) times two minors of the
+matrix [q^((s - s0) j)]. Each term carries at least q^V(k), the power
+carried by the squared q-Vandermonde product of the first k+1 free
+positions times their weights, because both grow with the positions. At
+Q = 2^k the whole step shares k V(k) zero bits, and _hankel_det strips
+them. On the first input of the benchmark's axis workload at seed 7
+(x = y = 4, U = [9], D = [1], B = [4]) the pivots of steps 1-3 carry 96
+of 2,400 bits, 448 of 4,032 and 1,088 of 5,888 as zeros.
+
 Both engines are polynomial in x, y and the dent count. The count's
 moments have O(y log L) digits and hex(60, 60) (1,227 digits) takes about
-2 s (a whole `dentedhex count` process, Python 3.11.7 on a shared 2-vCPU
+1.2 s (a whole `dentedhex count` process, Python 3.11.7 on a shared 2-vCPU
 Xeon VM). The q-version's moments have O(k y L) bits, and the Bareiss
 divisions dominate because CPython's big-int division is quadratic:
-hex(12, 12) takes about 9 s there.
+hex(12, 12) takes about 10 s there.
 
 Weight convention (pinned by the calibration test qcount on a one-row
 semihexagon with dent s giving q^(s-1)): only right-tilting lozenges
@@ -148,10 +165,11 @@ b <= -1; all other lozenges have weight 1.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 from math import prod
-from operator import mul
-from typing import Iterator, Sequence
+from operator import lshift, mul
+from typing import Callable, Iterator, Sequence
 
 from .exactnum import ExactnessError, QPoly, digit_width
 from .formulas import _superfactorial, delta, schur_ones
@@ -159,6 +177,8 @@ from .lattice import (LOZENGE_MATES, Lozenge, Tiling, TriangularRegion,
                       ValidatedSpec, _dual_graph)
 
 BRUTE_LIMIT = 120
+# _hankel_det strips a step only when its pivot's lowest int digit is zero
+_DIGIT_MASK = (1 << sys.int_info.bits_per_digit) - 1
 
 
 class RegionTooLarge(ValueError):
@@ -294,6 +314,11 @@ def enumerate_tilings(region: TriangularRegion) -> Iterator[Tiling]:
                 stack.append((covered | bits, (loz, chain)))
 
 
+def _zeros(n: int) -> int:
+    """The number of trailing zero bits of n != 0."""
+    return (n & -n).bit_length() - 1
+
+
 def _hankel_det(moments: Sequence[int], n: int) -> int:
     """det[moments[i+j]] for 0 <= i, j < n, by fraction-free elimination.
 
@@ -303,14 +328,51 @@ def _hankel_det(moments: Sequence[int], n: int) -> int:
     positive definite and every pivot (a leading principal minor) is
     positive: no row exchange, and a pivot <= 0 is an error. The matrix is
     symmetric and so is each step, so only the upper triangle is updated.
+
+    Each step stores its entries as their minors over 2^v. When the
+    pivot's lowest int digit (sys.int_info.bits_per_digit bits) is zero,
+    every entry the step reads is shifted right by d, the fewest trailing
+    zero bits among them, and v grows by d. The step's products are then
+    the next minors times the stored previous pivot, over 2^s with
+    s = 2v - vp, vp that pivot's shift. They are divided by that pivot
+    times 2^(w - s), an int for w = max(s - t, 0), t its trailing zero
+    bits. The quotient, the next minors over 2^w, is exact: the next
+    minors times the previous pivot's true value are the products times
+    2^(2v), so they carry at least s - t zero bits. A matrix that never
+    strips keeps v = 0 and divides by the whole pivot, as plain Bareiss
+    does. The determinant is the last pivot times 2^v.
     """
     rows = [list(moments[i:i + n]) for i in range(n)]
-    prev = 1
+    prev, vp, v = 1, 0, 0
+    last = n - 1
     for k in range(n):
         top = rows[k]
         pivot = top[k]
         if pivot <= 0:
             raise ExactnessError(f"Hankel pivot {k} is {pivot}, not positive")
+        if k == last:
+            return pivot << v if v else pivot
+        # the compare skips the & for a pivot below 2^bits_per_digit
+        if pivot > _DIGIT_MASK and not pivot & _DIGIT_MASK:
+            low = 0  # its lowest set bit is the entries' least one
+            for i in range(k, n):
+                for x in rows[i][i:]:
+                    low |= x
+            d = _zeros(low)
+            for i in range(k, n):
+                row = rows[i]
+                for j in range(i, n):
+                    row[j] >>= d
+            v += d
+            pivot = top[k]
+        if v or vp:  # the divisor is prev times 2^(w - s), w the new shift
+            s = 2 * v - vp
+            if s > 0:  # take up to s of prev's trailing zeros off it
+                r = min(s, _zeros(prev))
+                prev, s = prev >> r, s - r
+            else:
+                prev, s = prev << -s, 0
+            vp, v = v, s
         for i in range(k + 1, n):
             row, f = rows[i], top[i]
             for j in range(i, n):
@@ -318,15 +380,18 @@ def _hankel_det(moments: Sequence[int], n: int) -> int:
                 if rem:
                     raise ExactnessError("inexact Bareiss division")
         prev = pivot
-    return prev
+    return 1  # the empty determinant
 
 
-def _moments(weights: Sequence[int], nodes: Sequence[int], y: int) -> list[int]:
-    """sum of weights[i] * nodes[i]^m for m < 2y-1, y >= 1: one pass of
-    map and one sum per power."""
+def _moments(weights: Sequence[int], steps: Sequence[int], y: int,
+             op: Callable[[int, int], int]) -> list[int]:
+    """sum of weights[i] * z_i^m for m < 2y-1, y >= 1, where op(w,
+    steps[i]) is w * z_i: one pass of map and one sum per power.
+    count_axis passes the nodes and mul, qcount_axis the exponents of its
+    power-of-two nodes and lshift."""
     out = [sum(weights)]
     for _ in range(2 * y - 2):
-        weights = list(map(mul, weights, nodes))
+        weights = list(map(op, weights, steps))
         out.append(sum(weights))
     return out
 
@@ -340,7 +405,7 @@ def count_axis(spec: ValidatedSpec) -> int:
     # s is free, so no factor s - t is 0: only the sign differs from
     # prod |s - t|
     weights = [abs(prod(map(s.__sub__, dents))) for s in free]
-    det = _hankel_det(_moments(weights, free, y), y)
+    det = _hankel_det(_moments(weights, free, y, mul), y)
     den = _superfactorial(len(U) + y) * _superfactorial(len(D) + y)
     out, rem = divmod(delta(U) * delta(D) * det, den)
     if rem:
@@ -387,13 +452,15 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
         e0 = 2 * s0 + sum(min(s0, t) for t in dents)
         weights = []
         for s in free:
-            w, e = QPoly.one(), 2 * s - e0
+            w, e = None, 2 * s - e0  # no dents: the weight is Q^e
             for t in dents:  # s is free, so s != t: the binomial is normal
-                w = w * QPoly._raw({abs(s - t): 1, 0: -1})
+                binom = QPoly._raw({abs(s - t): 1, 0: -1})
+                w = binom if w is None else w * binom
                 e += min(s, t)
-            weights.append(w.packed(width) << k * e)
-        nodes = [1 << k * (s - s0) for s in free]  # Q^(s - s0)
-        det = _hankel_det(_moments(weights, nodes, y), y)
+            weights.append((1 if w is None else w.packed(width)) << k * e)
+        # node Q^(s - s0): the next power is the last one shifted left
+        steps = [k * (s - s0) for s in free]
+        det = _hankel_det(_moments(weights, steps, y, lshift), y)
         # M_m = Q^(e0 + s0 m) * M'_m, so det[M] = Q^low * det
         low = y * e0 + s0 * y * (y - 1)
     (eU, nU), (eD, nD), (ea, na), (eb, nb) = (

@@ -1,3 +1,4 @@
+import builtins
 import copy
 import hashlib
 import pickle
@@ -5,6 +6,7 @@ import random
 import tracemalloc
 from itertools import combinations, islice, permutations
 from math import comb
+from operator import lshift, mul
 
 import pytest
 
@@ -741,15 +743,16 @@ def test_moments_match_the_node_by_node_loop():
             weights = [rng.randint(-10**6, 10**6) for _ in range(n)]
             nodes = [rng.randint(-40, 40) for _ in range(n)]
             given = list(weights)
-            assert (_moments(weights, nodes, y)
+            assert (_moments(weights, nodes, y, mul)
                     == _moments_node_by_node(weights, nodes, y))
             assert weights == given  # the caller's list is left alone
-    # qcount_axis's input: nodes Q^d = 1 << k*d, weights of many k-bit digits
+    # qcount_axis's input: nodes Q^d = 1 << k*d stepped as shifts by k*d,
+    # weights of many k-bit digits
     k = 64
     weights = [rng.getrandbits(k * rng.randint(1, 40)) for _ in range(7)]
-    nodes = [1 << k * d for d in (0, 1, 2, 4, 5, 8, 11)]
-    assert (_moments(weights, nodes, 5)
-            == _moments_node_by_node(weights, nodes, 5))
+    steps = [k * d for d in (0, 1, 2, 4, 5, 8, 11)]
+    assert (_moments(weights, steps, 5, lshift)
+            == _moments_node_by_node(weights, [1 << d for d in steps], 5))
 
 
 def test_hankel_det():
@@ -770,6 +773,52 @@ def test_hankel_det():
         _hankel_det([-1], 1)
 
 
+def _hankel_moments(weights, nodes, n):
+    return [sum(w * z ** m for w, z in zip(weights, nodes))
+            for m in range(2 * n - 1)]
+
+
+def test_hankel_det_strips_shared_powers_of_two():
+    # every moment carries 2^35 or more, so each matrix strips at step 0;
+    # the q-style nodes 2^(32 d) make later steps' minors share more zeros
+    rng = random.Random(36)
+    for n in range(7):
+        for nodes, weights in (
+                ([1 << 32 * d for d in rng.sample(range(9), n + 1)],
+                 [rng.randint(1, 99) << 35 for _ in range(n + 1)]),
+                (rng.sample(range(-9, 10), n + 2),
+                 [rng.randint(1, 50) << 36 for _ in range(n + 2)])):
+            moments = _hankel_moments(weights, nodes, n)
+            want = _leibniz_det([moments[i:i + n] for i in range(n)])
+            assert want > 0 and all(m % 2**35 == 0 for m in moments)
+            assert _hankel_det(moments, n) == want
+    # step 0 strips 33 bits, the least of the moments' zeros, and its pivot
+    # keeps 7 of its 40: step 1 divides by that pivot's odd part
+    moments = _hankel_moments([3 * 2**40 - 2**33 - 2**36, 2**33, 2**36],
+                              [0, 1, 2], 3)
+    assert [(m & -m).bit_length() - 1 for m in moments] == [40, 33, 33, 33, 33]
+    cases = [(moments, 3)]
+    # step 0 strips 1 bit and its pivot keeps 31: step 1 divides by part of
+    # that pivot, and step 2 by a pivot shifted left
+    cases.append(([2**32, -14, 2, 0, 32, -6, 5 * 2**31], 4))
+    # positive leading minors with uneven powers of two
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        moments = [rng.randint(-2**20, 2**20)
+                   << rng.choice((0, 0, 1, 5, 31, 40, 64, 100))
+                   for _ in range(2 * n - 1)]
+        for m in range(0, 2 * n - 1, 2):
+            if rng.random() < 0.5:
+                moments[m] = abs(moments[m]) << rng.choice((30, 31, 60, 90))
+        cases.append((moments, n))
+    for moments, n in cases:
+        minors = [_leibniz_det([moments[i:i + j] for i in range(j)])
+                  for j in range(1, n + 1)]
+        if min(minors) > 0:
+            assert _hankel_det(moments, n) == minors[-1]
+
+
 def _plus_one(f):
     return lambda *args: f(*args) + 1
 
@@ -778,6 +827,9 @@ def _plus_one(f):
 # the module and name rebound, the stand-in built from the original, the
 # call that must reach the check, and the message it must raise with.
 PLANTED_FAULTS = {
+    "_hankel_det": (builtins, "divmod", lambda f: lambda a, b: f(a, b + 1),
+                    lambda: _hankel_det([2, 0, 1, 0, 1], 3),
+                    "^inexact Bareiss division$"),
     "count_axis": (engines, "_hankel_det", _plus_one,
                    lambda: count_axis(make_spec(2, 2, (1,), (3,))),
                    r"^count_axis\(.*\) is not an integer$"),
