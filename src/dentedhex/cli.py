@@ -15,13 +15,13 @@ import math
 import sys
 from itertools import islice
 
-from .engines import (check_size, count_axis, count_brute, enumerate_tilings,
-                      qcount_axis, qcount_brute)
+from .engines import (brute_region, check_size, count_axis, count_brute,
+                      enumerate_tilings, qcount_axis, qcount_brute)
 from .exactnum import ExactnessError
 from .formulas import ShuffleInstance, gen_shuffle_rhs, q_shuffle_rhs, shuffle_rhs
 from .harness import SUITE_NAMES, engine_corpus, run_suite
-from .lattice import (ClusterSpec, SpecError, build_region, make_spec,
-                      spec_from_json_dict, triangle_count)
+from .lattice import (ClusterSpec, SpecError, make_spec, spec_from_json_dict,
+                      triangle_count)
 from .render import render_region_svg, render_tiling_svg
 from .theorems import asym_table, check_thm1, check_thm2, check_thm3
 
@@ -76,14 +76,6 @@ def _region_spec(args):
     return make_spec(args.x, args.y)
 
 
-def _brute_region(spec, limit: int | None):
-    """The region of spec for the oracle. Its triangle budget is checked
-    from the spec first: building an oversized region costs memory in
-    proportion to its size before the engine would refuse it."""
-    check_size(triangle_count(spec), limit)
-    return build_region(spec)
-
-
 def _cmd_count(args) -> int:
     """count or qcount: the region's tiling number or its q-polynomial,
     printed in canonical form (a QPoly prints as its render())."""
@@ -91,7 +83,7 @@ def _cmd_count(args) -> int:
     q = args.command == "qcount"
     if args.engine == "brute":
         value = (qcount_brute if q else count_brute)(
-            _brute_region(spec, args.limit), limit=args.limit)
+            brute_region(spec, args.limit), limit=args.limit)
     else:
         value = (qcount_axis if q else count_axis)(spec)
     print(value)
@@ -156,7 +148,7 @@ def _cmd_render(args) -> int:
         check_size(triangle_count(spec), RENDER_LIMIT)
         _write(render_region_svg(spec, unit=args.unit), args.out)
         return 0
-    region = _brute_region(spec, None)
+    region = brute_region(spec)
     count = count_brute(region)
     if args.tiling >= count:
         print(f"error: region has only {count} tilings", file=sys.stderr)

@@ -14,11 +14,13 @@ simple, and obviously faithful to the region; its edges come from
 lattice.LOZENGE_MATES. enumerate_tilings is the only per-tiling walk, for
 rendering: depth first over the same edges, on an explicit state stack,
 in sorted (a, b, up) order, which fixes the order of the tilings it
-yields one at a time.
+yields one at a time. Each edge's move names its lozenge's kind, so the
+walk reads each lozenge off the graph and anchors it at the move's up
+triangle.
 
 The graph comes from lattice._dual_graph: each edge once, as a forward
-move (j, w) of its earlier end i < j, with each up triangle's least edge
-weight and degree. Both oracles read the sweep-ordered graph from
+move (j, w, kind) of its earlier end i < j, with each up triangle's least
+edge weight and degree. Both oracles read the sweep-ordered graph from
 region.sweep_graph, which the first of them builds and the region keeps
 until it is freed: count_brute and qcount_brute of one region build it
 once, and two equal regions built separately build it twice.
@@ -57,8 +59,8 @@ triangles) at 12,870; sorted (a, b, up) order would keep 10, 1,105 and
 fresh processes). The q-count of make_spec(8, 8), packed in 20-byte
 digits, takes 2.4 s and 146 MB (two fresh processes). Python 3.11, one
 core of a shared 2-vCPU machine, load average under 1.
-BRUTE_LIMIT stays at 120 triangles all the same: the CLI checks it on
-the spec before it builds a region for the oracle, so rendering a tiling
+BRUTE_LIMIT stays at 120 triangles all the same: brute_region checks it
+on the spec before it builds a region for the oracle, so rendering a tiling
 of the 298-triangle demo region is refused, and callers that want a
 larger region counted pass an explicit limit. enumerate_tilings has no
 budget of its own: it builds nothing its caller does not pull.
@@ -173,8 +175,8 @@ from typing import Callable, Iterator, Sequence
 
 from .exactnum import ExactnessError, QPoly, digit_width
 from .formulas import _superfactorial, delta, schur_ones
-from .lattice import (LOZENGE_MATES, Lozenge, Tiling, TriangularRegion,
-                      ValidatedSpec, _dual_graph)
+from .lattice import (Lozenge, Tiling, TriangularRegion, ValidatedSpec,
+                      _dual_graph, build_region, triangle_count)
 
 BRUTE_LIMIT = 120
 # _hankel_det strips a step only when its pivot's lowest int digit is zero
@@ -188,17 +190,25 @@ class RegionTooLarge(ValueError):
 
 def check_size(m: int, limit: int | None) -> None:
     """RegionTooLarge when m, a region's triangle count, exceeds limit
-    (None: BRUTE_LIMIT). The CLI checks lattice.triangle_count(spec) here
-    before it builds the region."""
+    (None: BRUTE_LIMIT)."""
     cap = BRUTE_LIMIT if limit is None else limit
     if m > cap:
         raise RegionTooLarge(f"{m} triangles exceeds the limit {cap}")
 
 
+def brute_region(spec: ValidatedSpec,
+                 limit: int | None = None) -> TriangularRegion:
+    """The region of spec for the oracle. Its triangle budget is checked
+    from the spec first: building an oversized region costs memory in
+    proportion to its size before the engine would refuse it."""
+    check_size(triangle_count(spec), limit)
+    return build_region(spec)
+
+
 def _matching_sum(moves, off, k: int) -> tuple[int, int]:
     """(P(2^k), low), where q^low * P(q) sums the q-weights of the perfect
-    matchings of the dual graph given by its forward moves and offsets
-    (_dual_graph); k = 0 gives the number of matchings.
+    matchings of the dual graph given by its forward moves (j, w, kind)
+    and offsets (_dual_graph); k = 0 gives the number of matchings.
 
     Each up triangle is matched exactly once, so subtracting its least
     edge weight off[i] from all of its edges takes q^low out of every
@@ -222,7 +232,7 @@ def _matching_sum(moves, off, k: int) -> tuple[int, int]:
         states, pending[i] = pending[i], None  # freed once stepped
         if not states:
             continue
-        for j, w in ms:
+        for j, w, _ in ms:
             bits = 1 << j - i | 1  # triangle i and its partner j
             shift = k * (w - off[i] - off[j])
             for state, v in states.items():
@@ -287,14 +297,12 @@ def enumerate_tilings(region: TriangularRegion) -> Iterator[Tiling]:
     if m % 2:
         return
     tris, moves, _, _ = _dual_graph(region)
-    kind_of = {(da, db): kind for kind, da, db in LOZENGE_MATES}
     pushes = []  # per triangle, one (bits, lozenge) per forward move
     for i, (t, ms) in enumerate(zip(tris, moves)):
         row = []
-        for j, _ in ms:
-            up, down = (t, tris[j]) if t.up else (tris[j], t)
-            loz = Lozenge(kind_of[down.a - up.a, down.b - up.b], up.a, up.b)
-            row.append((1 << i | 1 << j, loz))
+        for j, _, kind in ms:
+            up = t if t.up else tris[j]  # the lozenge's anchor
+            row.append((1 << i | 1 << j, Lozenge(kind, up.a, up.b)))
         pushes.append(row[::-1])  # pushed last to first, popped in order
     full = (1 << m) - 1
     stack = [(0, None)]  # (covered, partial tiling as (lozenge, rest) pairs)

@@ -6,22 +6,24 @@ which doubles as an integrality check; every broken invariant raises
 ExactnessError.
 
 Those quotients divide a Vandermonde product by a superfactorial
-sf(n) = prod_{k<n} k! (schur_ones here, count_axis in engines). The
-module-level list _SUPERFACTORIALS holds sf(0), sf(1), ... as exact ints
-and grows on demand by sf(n) = sf(n-1) * (n-1)!; _superfactorial(n) reads
-it. It is no result cache: it holds one constant sequence that depends on
-no region, so no count turns into a lookup, and every count still does its
-own product and division. Its memory is bounded by the largest n asked:
-sf(60) has 6,816 bits and the whole list through n = 60 about 123 kbit
-(15 kB), while count_axis(make_spec(60, 60)), which asks for sf(60),
-builds a 60 x 60 Hankel matrix of moments of up to 816 bits each and a
-determinant of 17,708 bits.
+sf(n) = prod_{k<n} k! (schur_ones here, count_axis in engines).
+_superfactorial(n) computes it as one product of factorials, not by
+recursion, which would go n calls deep and hit Python's recursion limit
+near n = 1,000; functools.cache keeps each sf(n) asked for as an exact int.
+It is no result cache: it holds values of one constant sequence that
+depend on no region, so no count turns into a lookup, and every count
+still does its own product and division. Its memory is bounded by the n
+asked: sf(60) has 6,816 bits and sf(0) through sf(60) together about
+123 kbit (15 kB), while count_axis(make_spec(60, 60)), which asks for
+sf(60), builds a 60 x 60 Hankel matrix of moments of up to 816 bits each
+and a determinant of 17,708 bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, factorial, prod
 from typing import Iterator, Sequence
@@ -62,18 +64,11 @@ def pp_q(a: int, b: int, c: int) -> QPoly:
     return one_minus_q_quotient(*_pp_exponents(a, b, c))
 
 
-_SUPERFACTORIALS = [1]  # sf(n) at index n; sf(0) is the empty product
-
-
+@cache
 def _superfactorial(n: int) -> int:
-    """sf(n) = prod of k! for k < n, from _SUPERFACTORIALS (see the module
-    docstring)."""
-    sf = _SUPERFACTORIALS
-    for m in range(len(sf), n + 1):
-        # a slice, not append: a thread that wrote index m first wrote the
-        # same value there, and one write of index m never shifts another
-        sf[m:m + 1] = [sf[m - 1] * factorial(m - 1)]
-    return sf[n]
+    """sf(n) = prod of k! for k < n; sf(0) is the empty product (see the
+    module docstring)."""
+    return prod(map(factorial, range(n)))
 
 
 def schur_ones(S: Sequence[int]) -> int:

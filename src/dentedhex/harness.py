@@ -153,22 +153,11 @@ def engine_corpus(seed: int = 7, size: int = 300) -> list[ValidatedSpec]:
                          "the number of distinct specs within the corpus "
                          "bounds")
     rng = random.Random(seed)
-    specs: list[ValidatedSpec] = []
-    seen: set[ValidatedSpec] = set()
-
-    def push(spec: ValidatedSpec):
-        if spec not in seen:
-            seen.add(spec)
-            specs.append(spec)
-
-    push(make_spec(0, 0))
-    push(make_spec(1, 0))
-    push(make_spec(0, 1))
-    max_L = CORPUS_BOUNDS["max_L"]
-    for x in range(1, max_L + 1):
-        for y in range(1, CORPUS_BOUNDS["max_y"] + 1):
-            if x + y <= max_L:
-                push(make_spec(x, y))
+    max_L, max_y = CORPUS_BOUNDS["max_L"], CORPUS_BOUNDS["max_y"]
+    # a dict keeps its keys in insertion order: one entry per distinct spec
+    specs = dict.fromkeys([make_spec(0, 0), make_spec(1, 0), make_spec(0, 1)]
+                          + [make_spec(x, y) for x in range(1, max_L + 1)
+                             for y in range(1, max_y + 1) if x + y <= max_L])
     max_draws = 10 * size  # the seed-7 size-300 corpus takes 418
     draws = 0
     while len(specs) < size:
@@ -176,9 +165,9 @@ def engine_corpus(seed: int = 7, size: int = 300) -> list[ValidatedSpec]:
             raise ValueError(f"corpus: {len(specs)} distinct specs after "
                              f"{draws} draws, {size - len(specs)} short of "
                              f"size {size}; lower size")
-        push(random_region_spec(rng, **CORPUS_BOUNDS))
+        specs.setdefault(random_region_spec(rng, **CORPUS_BOUNDS))
         draws += 1
-    return specs[:size]
+    return list(specs)[:size]
 
 
 # --- suite construction ------------------------------------------------------

@@ -233,9 +233,10 @@ def _dual_graph(region: TriangularRegion, key=None):
 
     Vertices are the region's triangles, edges their shared sides, less
     the vertical ones crossing the axis at a forbidden position.
-    moves[i] lists triangle i's forward moves, (j, w) for each partner
-    j > i in ascending j, w the edge's weight: each edge is listed once, at
-    its earlier end. When i is the lowest uncovered triangle every partner
+    moves[i] lists triangle i's forward moves, (j, w, kind) for each
+    partner j > i in ascending j, w the edge's weight and kind the
+    lozenge's (LOZENGE_MATES): each edge is listed once, at its earlier
+    end. When i is the lowest uncovered triangle every partner
     before it is already covered, so forward moves are all that the oracle
     DP and the tiling walk ever take. off[i] is an up triangle's least edge
     weight (0 with no edge) and 0 for a down triangle. degrees lists the
@@ -249,7 +250,7 @@ def _dual_graph(region: TriangularRegion, key=None):
     """
     tris = sorted(region.triangles, key=key)
     index = {t: i for i, t in enumerate(tris)}
-    moves: list[list[tuple[int, int]]] = [[] for _ in tris]
+    moves: list[list[tuple[int, int, str]]] = [[] for _ in tris]
     off = [0] * len(tris)
     degrees = []
     barred = region.forbidden_vertical
@@ -265,9 +266,9 @@ def _dual_graph(region: TriangularRegion, key=None):
             if j is not None:
                 w = tilt if kind == KIND_R else 0
                 if j > i:
-                    row.append((j, w))
+                    row.append((j, w, kind))
                 else:
-                    moves[j].append((i, w))
+                    moves[j].append((i, w, kind))
                 if not degree or w < low:
                     low = w
                 degree += 1

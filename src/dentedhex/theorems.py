@@ -28,12 +28,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .engines import check_size, count_axis, count_brute, qcount_axis
+from .engines import brute_region, count_axis, count_brute, qcount_axis
 from .exactnum import QRatio
 from .formulas import (ClusterSpec, ShuffleInstance, asym_rhs,
                        gen_shuffle_rhs, q_shuffle_rhs, schur_ones, shuffle_rhs)
-from .lattice import (SpecError, ValidatedSpec, build_region,
-                      clusters_to_spec, make_spec, triangle_count)
+from .lattice import SpecError, ValidatedSpec, clusters_to_spec, make_spec
 
 
 @dataclass
@@ -199,14 +198,13 @@ def check_schur_sum(spec: ValidatedSpec) -> CheckReport:
     schur_ones(U+S) * schur_ones(D+S) is the identity this check proves,
     so it is written out here and its left side is count_brute. count_axis
     evaluates the same sum as one Hankel determinant; the check passes only
-    when all three agree. Barrier-free specs only. The oracle's triangle
-    budget is checked from the spec before the region is built, so an
-    oversized spec raises RegionTooLarge without allocating it.
+    when all three agree. Barrier-free specs only. brute_region checks the
+    oracle's triangle budget from the spec before it builds the region, so
+    an oversized spec raises RegionTooLarge without allocating it.
     """
     if spec.B:
         raise SpecError("the crossing-sum identity is stated without barriers")
-    check_size(triangle_count(spec), None)
-    lhs = count_brute(build_region(spec))
+    lhs = count_brute(brute_region(spec))
     rhs = 0
     for S in crossing_subsets(spec.free, spec.y):
         rhs += (schur_ones(tuple(sorted(spec.U + S)))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dentedhex
-from dentedhex import cli, formulas, harness, theorems
+from dentedhex import cli, engines, formulas, harness, theorems
 from dentedhex.cli import main
 from dentedhex.engines import count_axis, enumerate_tilings, qcount_axis
 from dentedhex.exactnum import ExactnessError
@@ -208,7 +208,7 @@ def test_oversized_region_is_refused_before_it_is_built(argv, demo_file,
                                                         monkeypatch, capsys):
     # building costs memory in proportion to the region; the budget is
     # checked on the triangle count of the spec
-    monkeypatch.setattr(cli, "build_region", _unbuilt_region)
+    monkeypatch.setattr(engines, "build_region", _unbuilt_region)
     assert main(argv + ["--spec", demo_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

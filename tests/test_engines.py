@@ -210,7 +210,7 @@ def _partners(region, key=None):
     tris, moves, _, _ = _dual_graph(region, key)
     partners = [[] for _ in tris]
     for i, ms in enumerate(moves):
-        for j, w in ms:
+        for j, w, _ in ms:
             partners[i].append((j, w))
             partners[j].append((i, w))
     for ps in partners:
@@ -397,14 +397,16 @@ def _mates_edges(region):
 
 
 def _move_edges(tris, moves):
-    """{(up, down): weight} for each forward move; each edge once."""
+    """{(up, down): weight} for each forward move; each edge once, and
+    each move's kind the LOZENGE_MATES kind of its up and down ends."""
     out = {}
     for i, ms in enumerate(moves):
-        assert [j for j, _ in ms] == sorted({j for j, _ in ms})
-        for j, w in ms:
+        assert [j for j, _, _ in ms] == sorted({j for j, _, _ in ms})
+        for j, w, kind in ms:
             assert j > i
             t, u = tris[i], tris[j]
-            pair = (t, u) if t.up else (u, t)
+            up, down = pair = (t, u) if t.up else (u, t)
+            assert (kind, down.a - up.a, down.b - up.b) in LOZENGE_MATES
             assert pair not in out
             out[pair] = w
     return out

@@ -34,14 +34,14 @@ def test_pp_values():
 
 @pytest.mark.parametrize("order", [range(40, -1, -1), range(41)],
                          ids=["largest_first", "smallest_first"])
-def test_superfactorial_table_is_exact_in_either_order(order, monkeypatch):
-    # from an empty table, one read grows it to n at once and the next
-    # reads only look up; read the other way, every read grows it by one
-    monkeypatch.setattr(formulas, "_SUPERFACTORIALS", [1])
+def test_superfactorial_table_is_exact_in_either_order(order):
+    # from an empty cache, every read computes its own n; each value
+    # is kept, and none depends on what was read before it
+    formulas._superfactorial.cache_clear()
     for n in order:
         assert formulas._superfactorial(n) == prod(
             factorial(k) for k in range(n))
-    assert len(formulas._SUPERFACTORIALS) == 41
+    assert formulas._superfactorial.cache_info().currsize == 41
 
 
 def test_schur_ones_of_the_first_n_positions_is_1():
