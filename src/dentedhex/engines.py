@@ -136,10 +136,11 @@ out. So M'_m is k(e0 + s0*m) bits shorter than M_m, and the determinant,
 the divisor and the quotient are each shorter by k times the powers they
 lose. The quotient is q^-E' * qcount, a polynomial whose coefficients are
 nonnegative (they count tilings by weight) and sum to count_axis(spec),
-so none exceeds that count; the coefficients of w'(s) sum in absolute
-value to at most 2^(|U|+|D|). k = 8 * digit_width of the larger bound
-keeps every digit apart. A remainder, or a digit sum other than the
-count, raises ExactnessError.
+so none exceeds that count, and k = 8 * digit_width(count) keeps every
+digit of it apart. The digits come from the count alone: the weights are
+ints, evaluated at Q term by term (QPoly.packed), so their coefficients
+need fit no digit, and no value before the quotient is read back. A
+remainder, or a digit sum other than the count, raises ExactnessError.
 
 The Bareiss minors carry powers of q as well. A step-k entry is a minor
 of order k+1 of [M'_(i+j)], and by Cauchy-Binet a sum over (k+1)-subsets
@@ -447,9 +448,9 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
     U, D, y, L = spec.U, spec.D, spec.y, spec.L
     a, b = len(U) + y, len(D) + y
     count = count_axis(spec)
-    # coefficients of w_q(s), a product of |U|+|D| binomials, sum in
-    # absolute value to at most 2^(|U|+|D|); those of the result to count
-    width = digit_width(max(count, 1 << len(U + D)))
+    # the result's coefficients are nonnegative and sum to count; the
+    # weights are evaluated at Q exactly, whatever their coefficients
+    width = digit_width(count)
     k = 8 * width
     det, low = 1, 0  # y = 0: the empty determinant, with no weights or nodes
     if y:

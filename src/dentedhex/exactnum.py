@@ -21,24 +21,27 @@ coefficient lies in that range. The crossover is there because packing
 and reading back cost tens of microseconds per product whatever its
 size. That is several times the term-by-term loop on the monomials and
 short polynomials that the identity checks mostly multiply. Over the
-products of a seed-7 verify round, the two algorithms cost the same at
-about 200 term pairs. Kronecker's cost follows the longer operand's
-exponent span and the loop's the pair count, so a monomial or binomial
-times a long polynomial goes term by term at any length: a binomial
+2,146 products of a seed-7 verify round with both operands longer than
+2 terms, timed one by one, the two algorithms cost the same at about 135
+term pairs; the round's product time is least with the crossover at
+132-138 and 0.7% more at 192, which is kept. Kronecker's cost follows
+the longer operand's exponent span and the loop's the pair count, so a
+monomial or binomial times a long polynomial goes term by term at any
+length: a binomial
 times 160 dense terms took 56 us that way and 123 us packed (Python
 3.11, one core of a 2-vCPU machine).
 
 digit_width(bound) picks the least whole-byte k with bound < 2^(k-1).
-Three bounds are used:
+Only the digits that are read back, and the operands _pack writes, need
+the bound; QPoly.packed evaluates P(2^k) as the sum of its terms shifted,
+so the coefficients it packs may be any size. The bounds:
 
 - QPoly.__mul__, Kronecker branch only: a product coefficient sums at
   most min(len a, len b) terms, each at most max|a| * max|b| in
   magnitude.
-- engines.qcount_axis: the same argument with count_axis(spec) as the
-  bound on the result's coefficients; its weights, products of m
-  binomials q^d - 1 (the power of q each dent's factor q^i - q^j carries
-  is taken out first), enter the determinant as QPoly.packed values, and
-  their coefficients sum in absolute value to at most 2^m.
+- engines.qcount_axis: the result's coefficients are nonnegative and sum
+  to count_axis(spec). Its weights, products of binomials q^d - 1, enter
+  the determinant as QPoly.packed values whatever their coefficients.
 - engines.qcount_brute: the result's coefficients are nonnegative and
   sum to the tiling count, which Bregman's bound on the permanent caps
   from the triangle degrees (engines._count_bound). The DP only shifts
@@ -55,6 +58,15 @@ q-oracle reads wider ones on larger regions (15 bytes on the demo
 region, 20 on hex(8,8)). The 6,013 read-backs of a seed-7 verify round
 took 0.08-0.10 s in C against 0.14-0.16 s digit by digit (Python 3.11,
 one core of a 2-vCPU machine).
+
+_pack writes the Kronecker operands one to_bytes call per digit. A
+writer in C that mirrors from_packed, one struct.pack of 8-byte words
+and width strided copies, needs a separate range check, since a
+strided copy truncates a digit silently. On the 2,762 operands packed
+in a seed-7 verify round (41 digits on average, 1 to 6 bytes wide) it
+took 8.3 us per operand against 6.6 us digit by digit (Python 3.11, one
+core of a 2-vCPU machine), and it gains only from about 100 digits on,
+so the writer stays per digit.
 
 A packed operand holds one digit per exponent from its lowest to its
 highest, so the Kronecker branch costs time and memory in proportion to
@@ -73,6 +85,8 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
+from itertools import accumulate
+from operator import sub
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -156,15 +170,14 @@ class QPoly:
         return cls._raw({e: v - h for e, v in enumerate(digits, low) if v != h})
 
     def packed(self, width: int) -> int:
-        """P(2^k), k = 8*width, for a polynomial P with no negative exponent
-        and every coefficient of magnitude below 2^(k-1)."""
-        if not self._c:
-            return 0
-        low = min(self._c)
-        if low < 0:
+        """P(2^k), k = 8*width, for a polynomial P with no negative exponent:
+        the sum of c * 2^(k*e) over its terms, whatever their size."""
+        c = self._c
+        if c and min(c) < 0:
             raise ValueError("packed() needs a polynomial without negative "
                              "exponents")
-        return _pack(self._c, low, max(self._c), width) << 8 * width * low
+        k = 8 * width
+        return sum(v << k * e for e, v in c.items())
 
     def items(self):
         return self._c.items()
@@ -272,11 +285,9 @@ class QPoly:
         """
         if not self._c:
             return "0"
-        parts = []
-        for e in sorted(self._c):
-            v = self._c[e]
-            parts.append(str(v) if e == 0 else f"{v}*q^{e}")
-        return " + ".join(parts)
+        c = self._c
+        return " + ".join([str(c[e]) if e == 0 else f"{c[e]}*q^{e}"
+                           for e in sorted(c)])
 
     def __str__(self) -> str:
         return self.render()
@@ -301,12 +312,18 @@ def _pack(c: Mapping[int, int], low: int, high: int, width: int) -> int:
     for coefficients of magnitude below 2^(k-1).
 
     Each coefficient is offset by 2^(k-1) into one nonnegative k-bit digit,
-    and the offsets are subtracted from the packed int in one step.
+    and the offsets are subtracted from the packed int in one step. A
+    coefficient outside its digit raises ExactnessError: the caller's bound
+    was wrong.
     """
     h = 1 << (8 * width - 1)
     get = c.get
-    digits = b"".join([(get(e, 0) + h).to_bytes(width, "little")
-                       for e in range(low, high + 1)])
+    try:
+        digits = b"".join([(get(e, 0) + h).to_bytes(width, "little")
+                           for e in range(low, high + 1)])
+    except OverflowError:  # a digit below 0 or of 2^k or more
+        raise ExactnessError("a packed coefficient does not fit its "
+                             "digit") from None
     return int.from_bytes(digits, "little") - _offset(high - low + 1, width)
 
 
@@ -314,16 +331,18 @@ def one_minus_q_quotient(num_exps: Iterable[int], den_exps: Iterable[int]) -> QP
     """prod(1 - q^a) / prod(1 - q^b), which must come out a polynomial.
 
     Common exponents cancel as a multiset first; the remaining product is
-    built densely and each denominator factor is removed by the linear
-    recurrence r[k] = p[k] + r[k-b], which is exact iff the top b
+    built densely, each factor 1 - q^a one slice assignment. Each
+    denominator factor 1 - q^b is removed by r[k] = p[k] + r[k-b], a
+    prefix sum along each residue class k = c (mod b), which
+    itertools.accumulate computes in C; it is exact iff the top b
     coefficients vanish. Both closed-form q-counts, formulas.pp_q and
     formulas.clp_q_dents, are one call each, so it avoids general
     polynomial division. Every caller divides by a theorem, so a remainder
     is a broken invariant: ExactnessError.
     """
-    cn = Counter(int(a) for a in num_exps)
-    cd = Counter(int(b) for b in den_exps)
-    if any(e <= 0 for e in (*cn, *cd)):
+    cn = Counter(map(int, num_exps))
+    cd = Counter(map(int, den_exps))
+    if min((*cn, *cd), default=1) <= 0:
         raise ValueError("factor exponents must be positive")
     common = cn & cd
     cn -= common
@@ -331,20 +350,18 @@ def one_minus_q_quotient(num_exps: Iterable[int], den_exps: Iterable[int]) -> QP
     poly = [1]
     for a in cn.elements():
         nxt = poly + [0] * a
-        for k, v in enumerate(poly):
-            nxt[k + a] -= v
+        nxt[a:] = map(sub, nxt[a:], poly)
         poly = nxt
     for b in cd.elements():
         n = len(poly)
         if b >= n:  # poly has degree n - 1 and constant term 1
             raise ExactnessError("denominator factor exceeds degree")
-        r = [0] * n
-        for k in range(n):
-            r[k] = poly[k] + (r[k - b] if k >= b else 0)
-        if any(r[n - b:]):
+        for c in range(b):  # r[k] = p[k] + r[k-b]: a prefix sum mod b
+            poly[c::b] = accumulate(poly[c::b])
+        if any(poly[n - b:]):
             raise ExactnessError("denominator factor does not divide")
-        poly = r[: n - b]
-    return QPoly({e: v for e, v in enumerate(poly) if v})
+        del poly[n - b:]
+    return QPoly._raw({e: v for e, v in enumerate(poly) if v})
 
 
 @dataclass(frozen=True, eq=False)

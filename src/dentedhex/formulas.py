@@ -24,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb, factorial, prod
+from operator import sub
 from typing import Iterator, Sequence
 
 from .exactnum import ExactnessError, QPoly, QRatio, one_minus_q_quotient
 from .lattice import (ClusterSpec, SpecError, ValidatedSpec, UP, DOWN,
-                      _checked_positions, make_spec)
+                      _check_positions, _checked_positions, make_spec)
 
 
 def pp(a: int, b: int, c: int) -> int:
@@ -77,8 +78,11 @@ def schur_ones(S: Sequence[int]) -> int:
     Computed as the integer quotient delta(S) // prod_{k<len(S)} k!, since
     prod_{i<j} (j-i) is that product of factorials. Equals the Schur
     polynomial s_lambda at a = len(S) ones, lambda_i = s_(a+1-i) - (a+1-i)
-    for S = (s_1 < ... < s_a), by Weyl's dimension formula.
+    for S = (s_1 < ... < s_a), by Weyl's dimension formula. Positions
+    that are not strictly increasing and >= 1 raise SpecError, by
+    make_spec's rule for dents.
     """
+    _check_positions("S", S)
     num = delta(S)
     den = _superfactorial(len(S))
     out, rem = divmod(num, den)
@@ -94,13 +98,12 @@ def clp_q_dents(S: Sequence[int]) -> QPoly:
     q^(sum(s_i - i)) * prod (q^(s_j)-q^(s_i))/(q^j-q^i), in the gap form
     q^shift * prod (1 - q^(s_j-s_i)) / prod (1 - q^(j-i)): one
     one_minus_q_quotient call (both products have a(a-1)/2 factors, so the
-    signs cancel). A coefficient sum other than schur_ones(S) or a
-    negative exponent raises ExactnessError.
+    signs cancel). Positions that are not strictly increasing and >= 1
+    raise SpecError, as in schur_ones; a coefficient sum other than
+    schur_ones(S) or a negative exponent raises ExactnessError.
     """
+    _check_positions("S", S)
     a = len(S)
-    if any(S[i] >= S[i + 1] for i in range(a - 1)):
-        raise ValueError(f"clp_q_dents({tuple(S)}): dents must be strictly "
-                         "increasing")
     out = one_minus_q_quotient(_gaps(S), _gaps(range(a)))
     out = out.shifted(sum((a - i) * (S[i] - i - 1) for i in range(a)))
     ones = schur_ones(S)
@@ -114,8 +117,9 @@ def clp_q_dents(S: Sequence[int]) -> QPoly:
 
 
 def _gaps(S: Sequence[int]) -> Iterator[int]:
-    """s_j - s_i over i < j, in the order of combinations(S, 2)."""
-    return (t - s for s, t in combinations(S, 2))
+    """s_j - s_i over i < j, in C: each pair (s_j, s_i) of combinations of
+    S reversed."""
+    return starmap(sub, combinations(S[::-1], 2))
 
 
 def delta(S: Sequence[int]) -> int:

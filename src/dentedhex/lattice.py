@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import ExactnessError
@@ -124,20 +124,27 @@ class ValidatedSpec:
         }
 
 
-def _checked_positions(name: str, values: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(map(int, values))
-    # a strictly increasing tuple is positive iff its first entry is; the
-    # loops run only on a fault, to name the first one
-    if out and (out[0] < 1 or not all(map(int.__lt__, out, out[1:]))):
-        for v in out:
+def _check_positions(name: str, values: Sequence[int]) -> None:
+    """SpecError unless values are strictly increasing and >= 1.
+
+    One C-level pass tests 0 < v_1 < v_2 < ..., skipped when values is
+    empty; the loops run only on a fault, to name the first one.
+    """
+    if values and not all(map(lt, (0, *values), values)):
+        for v in values:
             if v < 1:
                 raise SpecError(f"{name} position {v} is not >= 1")
-        for a, b in zip(out, out[1:]):
+        for a, b in zip(values, values[1:]):
             if a == b:
                 raise SpecError(f"{name} contains {a} twice")
             if a > b:
                 raise SpecError(
                     f"{name} is not strictly increasing at {a},{b}")
+
+
+def _checked_positions(name: str, values: Iterable[int]) -> tuple[int, ...]:
+    out = tuple(map(int, values))
+    _check_positions(name, out)
     return out
 
 

@@ -10,7 +10,7 @@ from operator import lshift, mul
 
 import pytest
 
-from dentedhex import engines, formulas, lattice
+from dentedhex import engines, exactnum, formulas, lattice
 from dentedhex.engines import (RegionTooLarge, _count_bound, _hankel_det,
                                _moments, check_size, count_axis, count_brute,
                                enumerate_tilings, qcount_axis, qcount_brute)
@@ -858,6 +858,19 @@ PLANTED_FAULTS = {
                                                      [*f(*abc)[1], 97]),
                              lambda: pp_q(2, 2, 2),
                              "^denominator factor exceeds degree$"),
+    "one_minus_q_quotient.remainder": (
+        formulas, "_pp_exponents",
+        lambda f: lambda *abc: (f(*abc)[0], [*f(*abc)[1], 7]),
+        lambda: pp_q(2, 2, 2), "^denominator factor does not divide$"),
+    "clp_q_dents.exponent": (formulas, "one_minus_q_quotient",
+                             lambda f: lambda *nd: f(*nd).shifted(-1),
+                             lambda: clp_q_dents((1,)),
+                             r"^clp_q_dents\(\(1,\)\) has a negative "
+                             "exponent$"),
+    "_pack": (exactnum, "digit_width", lambda f: lambda bound: 1,
+              lambda: QPoly(dict.fromkeys(range(20), 200)) * QPoly(
+                  dict.fromkeys(range(20), 200)),
+              "^a packed coefficient does not fit its digit$"),
     "build_region": (lattice, "dent_triangles",
                      lambda f: lambda spec: [*f(spec), Triangle(0, 0, True)],
                      lambda: build_region(make_spec(2, 2)),

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from dentedhex import exactnum
+from dentedhex import exactnum, formulas
 from dentedhex.exactnum import (MUL_CROSSOVER_PAIRS, ExactnessError, QPoly,
                                 QRatio, one_minus_q_quotient)
 
@@ -165,6 +166,46 @@ def test_packed_evaluates_at_a_power_of_two():
         QPoly.monomial(-1).packed(1)
 
 
+def test_packed_evaluates_coefficients_wider_than_the_digit():
+    # the weights of qcount_axis are evaluated at 2^k whatever their size
+    rng = random.Random(19)
+    for width in (1, 2, 9):
+        k = 8 * width
+        for _ in range(20):
+            p = QPoly({e: rng.randint(-2 ** (3 * k), 2 ** (3 * k))
+                       for e in rng.sample(range(0, 40), rng.randint(1, 10))})
+            assert p.packed(width) == sum(v * 2 ** (k * e)
+                                          for e, v in p.items())
+    assert QPoly.monomial(3, 2 ** 20).packed(1) == 2 ** 44
+    with pytest.raises(ValueError, match="^packed\\(\\) needs"):
+        (QPoly.monomial(-1, 2 ** 20) + q).packed(1)
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_pack_round_trips_through_from_packed(width):
+    # from_packed reads widths up to 8 in C and 9 and 10 digit by digit;
+    # negative coefficients and runs of zero digits included
+    rng = random.Random(100 + width)
+    h = 1 << (8 * width - 1)
+    for _ in range(30):
+        low = rng.randint(-20, 20)
+        high = low + rng.randint(0, 50)
+        c = {e: rng.choice((-h + 1, h - 1, -1, 1, rng.randint(-h + 1, h - 1)))
+             for e in rng.sample(range(low, high + 1),
+                                 rng.randint(1, high - low + 1))}
+        c[low] = c[high] = rng.choice((-h + 1, -1, 1, h - 1))
+        n = exactnum._pack(c, low, high, width)
+        assert n == sum(v << 8 * width * (e - low) for e, v in c.items())
+        assert QPoly.from_packed(n, width, low) == QPoly(c)
+    # -2^(k-1) is the digit 0; outside [-2^(k-1), 2^(k-1)) none fits
+    assert exactnum._pack({0: 1, 1: -h, 2: -1}, 0, 2, width) == (
+        1 - (h << 8 * width) - (1 << 16 * width))
+    for v in (h, -h - 1, 4 * h, -4 * h):
+        with pytest.raises(ExactnessError, match="^a packed coefficient "
+                           "does not fit its digit$"):
+            exactnum._pack({0: 1, 1: v, 2: -1}, 0, 2, width)
+
+
 def per_digit(n, width, low):
     """q^low * P with P(2^k) = n, read one int.from_bytes call per digit."""
     k = 8 * width
@@ -262,6 +303,71 @@ def test_one_minus_q_quotient_times_denominator_is_numerator():
         for b in den:
             prod_den = prod_den * (1 - QPoly.monomial(b))
         assert one_minus_q_quotient(num, den) * prod_den == prod_num
+
+
+def times_binomials(poly, exps):
+    """poly * prod (1 - q^a) over a in exps, term by term; lists of
+    coefficients, lowest first."""
+    for a in exps:
+        out = poly + [0] * a
+        for k, v in enumerate(poly):
+            out[k + a] -= v
+        poly = out
+    return poly
+
+
+def over_binomials(poly, exps):
+    """poly / prod (1 - q^b) over b in exps by long division from the top,
+    or None when a division leaves a remainder."""
+    for b in exps:
+        r = list(poly)
+        quo = [0] * max(len(r) - b, 0)
+        for i in reversed(range(len(quo))):
+            c = quo[i] = -r[i + b]  # the leading term of 1 - q^b is -q^b
+            r[i] -= c
+            r[i + b] = 0
+        if any(r):
+            return None
+        poly = quo
+    return poly
+
+
+def plain_quotient(num, den):
+    """one_minus_q_quotient's value, or None when it is no polynomial."""
+    cn, cd = Counter(num), Counter(den)
+    common = cn & cd  # (1 - q^e) / (1 - q^e) = 1 keeps the lists short
+    p = over_binomials(times_binomials([1], (cn - common).elements()),
+                       (cd - common).elements())
+    return None if p is None else QPoly(dict(enumerate(p)))
+
+
+def test_one_minus_q_quotient_matches_long_division():
+    # seeded exponent multisets, exact and not, against a term-by-term
+    # product and long division; then the 40-dent semihexagon of CI
+    rng = random.Random(41)
+    cases = []
+    for _ in range(300):
+        den = [rng.randint(1, 9) for _ in range(rng.randint(0, 6))]
+        num = [rng.randint(1, 12) for _ in range(rng.randint(0, 8))]
+        if rng.random() < 0.5:
+            num += den  # an exact quotient
+        rng.shuffle(num)
+        cases.append((num, den))
+    S = tuple(range(1, 80, 2))
+    cases.append((list(formulas._gaps(S)), list(formulas._gaps(range(40)))))
+    exact = 0
+    for num, den in cases:
+        want = plain_quotient(num, den)
+        if want is None:
+            with pytest.raises(ExactnessError, match="^denominator factor "):
+                one_minus_q_quotient(num, den)
+        else:
+            got = one_minus_q_quotient(num, den)
+            assert got == want
+            assert 0 not in dict(got.items()).values()
+            exact += 1
+    assert 150 < exact < len(cases) - 50
+    assert len(want.items()) == 10661  # the 40-dent case, exact
 
 
 def test_one_minus_q_quotient_refuses_inexact_quotients():

@@ -100,11 +100,27 @@ def test_clp_q():
     c = dict(p.items())
     coeffs = [c.get(e, 0) for e in range(p.min_exp(), p.max_exp() + 1)]
     assert coeffs == coeffs[::-1]
-    # a dent left of the base would need a negative exponent
-    with pytest.raises(ExactnessError):
+    # a dent left of the base breaks make_spec's rule for dents, as a
+    # repeated one does
+    with pytest.raises(SpecError, match="^S position 0 is not >= 1$"):
         clp_q_dents((0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match="^S contains 2 twice$"):
         clp_q_dents((2, 2))
+
+
+@pytest.mark.parametrize("f", [schur_ones, clp_q_dents])
+def test_dent_positions_follow_make_specs_rule(f):
+    # (3, 1) and (0,) once read -2 and 1 through schur_ones: positions
+    # must be strictly increasing and >= 1, as make_spec's dents are
+    for S, message in (((3, 1), "^S is not strictly increasing at 3,1$"),
+                       ((0,), "^S position 0 is not >= 1$"),
+                       ((1, 0), "^S position 0 is not >= 1$"),
+                       ((2, 5, 5), "^S contains 5 twice$")):
+        with pytest.raises(SpecError, match=message):
+            f(S)
+        with pytest.raises(SpecError, match=message.replace("^S", "^U")):
+            make_spec(9, 0, S)
+    assert f([1, 4]) == f((1, 4))
 
 
 def test_clp_q_dents_against_brute_force():
