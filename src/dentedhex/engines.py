@@ -20,28 +20,27 @@ triangle.
 
 The graph comes from lattice._dual_graph: each edge once, as a forward
 move (j, w, kind) of its earlier end i < j, with each up triangle's least
-edge weight and degree. Both oracles read the sweep-ordered graph from
+edge weight. Both oracles read the sweep-ordered graph from
 region.sweep_graph, which the first of them builds and the region keeps
-until it is freed: count_brute and qcount_brute of one region build it
-once, and two equal regions built separately build it twice.
-enumerate_tilings builds its own graph in sorted order. Step i of the DP
-loops over i's moves outside its states: a move's bit mask and shift are
-computed once per step, not once per state.
+until it is freed, and the number of matchings from _count, which keeps
+it beside the graph in the region's __dict__: count_brute and
+qcount_brute of one region build the graph once and run the k = 0 DP
+once, in either order, and two equal regions built separately do both
+twice. enumerate_tilings builds its own graph in sorted order. Step i of
+the DP loops over i's moves outside its states: a move's bit mask and
+shift are computed once per step, not once per state.
 
 Both run one DP on plain ints, with the q-weights evaluated at q = 2^k:
 matching along an edge of weight w shifts a value left by k*w bits, and
 count_brute is k = 0. Each up triangle is matched exactly once, so its
 least edge weight is first taken off all its edges; every shift is then
 nonnegative and the sum is q^low * P(q), low the sum of those least
-weights. qcount_brute reads P back as k-bit digits (QPoly.from_packed).
-Its coefficients are nonnegative and sum to the count, the permanent of
-the 0-1 up x down adjacency matrix, so Bregman's bound on that permanent,
-a product over the up triangles' degrees, sizes the digits without a
-counting pass. That bound is what rules overflow out. The read-back
-checks only the sign: a coefficient that overflowed into its digit's
-upper half reads back negative, which raises ExactnessError, but one that
-overflowed by 2^k or more carries into the next digit and can read back
-as a nonnegative digit.
+weights. qcount_brute reads P back as k-bit digits (QPoly.from_packed),
+by qcount_axis's rule: P's coefficients are nonnegative and sum to the
+count, so none exceeds it, and k = 8 * digit_width(count) keeps every
+digit apart; a digit sum other than the count raises ExactnessError. The
+DP only shifts and adds exact ints, so its partial values may carry
+across digits; only the final value is read back.
 
 The DP's memory follows the states alive at one time, not every state it
 ever reaches. When step i starts, those are the partial matchings that
@@ -56,9 +55,10 @@ the tall make_spec(2, 12) (384 triangles) at 91 and make_spec(8, 8) (384
 triangles) at 12,870; sorted (a, b, up) order would keep 10, 1,105 and
 22,308. make_spec(8, 8) counts in 0.22-0.45 s and 18 MB of peak RSS
 (eight fresh processes), make_spec(10, 10) in 9.8-11.2 s and 57 MB (two
-fresh processes). The q-count of make_spec(8, 8), packed in 20-byte
-digits, takes 2.4 s and 146 MB (two fresh processes). Python 3.11, one
-core of a shared 2-vCPU machine, load average under 1.
+fresh processes). Python 3.11, one core of a shared 2-vCPU machine, load
+average under 1. The q-count of make_spec(8, 8), packed in 10-byte
+digits, takes 1.1-1.2 s and 84 MB (four fresh processes, the same
+machine; 1.7 s and 147 MB when its digits were 20 bytes wide).
 BRUTE_LIMIT stays at 120 triangles all the same: brute_region checks it
 on the spec before it builds a region for the oracle, so rendering a tiling
 of the 298-triangle demo region is refused, and callers that want a
@@ -248,43 +248,36 @@ def _matching_sum(moves, off, k: int) -> tuple[int, int]:
     return pending[-1].get(0, 0), sum(off)
 
 
+def _count(region: TriangularRegion, limit: int | None) -> int:
+    """The number of perfect matchings of region's dual graph, within the
+    triangle budget limit (check_size). It is counted on the first call and
+    kept in the region's __dict__ beside sweep_graph: the one k = 0 pass
+    that count_brute and qcount_brute share."""
+    check_size(len(region.triangles), limit)
+    memo = vars(region)
+    if "count" not in memo:  # the graph is (tris, moves, off)
+        memo["count"] = _matching_sum(*region.sweep_graph[1:], 0)[0]
+    return memo["count"]
+
+
 def count_brute(region: TriangularRegion, limit: int | None = None) -> int:
     """Number of perfect matchings of the dual graph; empty region -> 1."""
-    check_size(len(region.triangles), limit)
-    _, moves, off, _ = region.sweep_graph
-    return _matching_sum(moves, off, 0)[0]
-
-
-def _count_bound(degrees) -> int:
-    """A power of two at least the number of perfect matchings.
-
-    That number is the permanent of the 0-1 up x down adjacency matrix,
-    which Bregman's bound (1973) keeps at most the product over up
-    triangles of (d!)^(1/d), d the degree. Its sixth power is the integer
-    B6 = prod (d!)^(6/d) (d <= 3), below 2^bits(B6), so the bound
-    2^ceil(bits(B6) / 6) holds. It costs no pass over the matchings.
-    """
-    b6 = prod((1, 1, 8, 36)[d] for d in degrees)
-    return 1 << (b6.bit_length() + 5) // 6
+    return _count(region, limit)
 
 
 def qcount_brute(region: TriangularRegion, limit: int | None = None) -> QPoly:
     """Sum of q-weights over all tilings, as a Laurent polynomial.
 
-    The coefficients are nonnegative and sum to the count, so Bregman's
-    bound (_count_bound) keeps each one below half a digit: the bound rules
-    overflow out. The sign check catches only an overflow into a digit's
-    upper half. One by 2^k or more carries into the next digit and can read
-    back nonnegative: QPoly.from_packed(300, 1, 0) is 44 + q.
+    The coefficients are nonnegative and sum to the count (_count), so
+    digits of digit_width(count) bytes hold them apart, as in qcount_axis.
+    A digit sum other than the count raises ExactnessError.
     """
-    check_size(len(region.triangles), limit)
-    _, moves, off, degrees = region.sweep_graph
-    width = digit_width(_count_bound(degrees))
-    n, low = _matching_sum(moves, off, 8 * width)
+    count = _count(region, limit)
+    width = digit_width(count)
+    n, low = _matching_sum(*region.sweep_graph[1:], 8 * width)
     out = QPoly.from_packed(n, width, low)
-    if any(v < 0 for _, v in out.items()):
-        raise ExactnessError("qcount_brute: a packed coefficient overflowed "
-                             "its digit")
+    if out.eval_one() != count:
+        raise ExactnessError(f"qcount_brute: digits do not sum to {count}")
     return out
 
 
@@ -297,7 +290,7 @@ def enumerate_tilings(region: TriangularRegion) -> Iterator[Tiling]:
     m = len(region.triangles)
     if m % 2:
         return
-    tris, moves, _, _ = _dual_graph(region)
+    tris, moves, _ = _dual_graph(region)
     pushes = []  # per triangle, one (bits, lozenge) per forward move
     for i, (t, ms) in enumerate(zip(tris, moves)):
         row = []
@@ -376,12 +369,11 @@ def _hankel_det(moments: Sequence[int], n: int) -> int:
             pivot = top[k]
         if v or vp:  # the divisor is prev times 2^(w - s), w the new shift
             s = 2 * v - vp
-            if s > 0:  # take up to s of prev's trailing zeros off it
-                r = min(s, _zeros(prev))
-                prev, s = prev >> r, s - r
-            else:
-                prev, s = prev << -s, 0
-            vp, v = v, s
+            # prev loses r trailing zeros, at most its own when s > 0; s <= 0
+            # is the same rule with r = s, a shift left, and the new v is 0
+            r = min(s, _zeros(prev)) if s > 0 else s
+            prev = prev >> r if r >= 0 else prev << -r
+            vp, v = v, s - r
         for i in range(k + 1, n):
             row, f = rows[i], top[i]
             for j in range(i, n):

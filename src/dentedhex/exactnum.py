@@ -42,20 +42,22 @@ so the coefficients it packs may be any size. The bounds:
 - engines.qcount_axis: the result's coefficients are nonnegative and sum
   to count_axis(spec). Its weights, products of binomials q^d - 1, enter
   the determinant as QPoly.packed values whatever their coefficients.
-- engines.qcount_brute: the result's coefficients are nonnegative and
-  sum to the tiling count, which Bregman's bound on the permanent caps
-  from the triangle degrees (engines._count_bound). The DP only shifts
-  and adds exact ints, so its partial values may carry across digits;
-  only the final value is read back.
+- engines.qcount_brute: the same rule, with the count of the oracle's
+  own counting pass. The DP only shifts and adds exact ints, so its
+  partial values may carry across digits; only the final value is read
+  back.
+
+Both q-engines then require the digits they read back to sum to the
+count, and raise ExactnessError when they do not.
 
 QPoly.from_packed turns a packed value into bytes with one to_bytes
 call and reads the digits back from them. Digits of up to 8 bytes are
 read in C: width strided slice copies move byte j of every digit to byte
 j of an 8-byte word, and one struct.unpack reads all the words. Wider
 digits are read one int.from_bytes call per digit. The width alone picks
-the path. Every workload of perfbench reads digits of 1 to 6 bytes; the
-q-oracle reads wider ones on larger regions (15 bytes on the demo
-region, 20 on hex(8,8)). The 6,013 read-backs of a seed-7 verify round
+the path. Every workload of perfbench reads digits of 1 to 6 bytes, and
+so does the q-oracle on the demo region (6 bytes); it reads wider ones
+on larger regions (10 bytes on hex(8,8)). The 6,013 read-backs of a seed-7 verify round
 took 0.08-0.10 s in C against 0.14-0.16 s digit by digit (Python 3.11,
 one core of a 2-vCPU machine).
 

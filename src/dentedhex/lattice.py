@@ -30,6 +30,11 @@ axis.
 
 TriangularRegion.sweep_graph keeps the region's dual graph (_dual_graph)
 in the sweep order that both oracle engines read.
+
+make_spec and ClusterSpec read their numbers with int(), and refuse one
+that int() would truncate: make_spec(2.7, 1) is an error, not
+make_spec(2, 1). A str such as "2" is parsed exactly or not at all, and
+True is the 1 it equals, so both are read as int() reads them.
 """
 
 from __future__ import annotations
@@ -142,8 +147,24 @@ def _check_positions(name: str, values: Sequence[int]) -> None:
                     f"{name} is not strictly increasing at {a},{b}")
 
 
-def _checked_positions(name: str, values: Iterable[int]) -> tuple[int, ...]:
+def _ints(name: str, values: Iterable) -> tuple[int, ...]:
+    """tuple(map(int, values)), or SpecError when int() truncates a value.
+
+    A value v that int() maps exactly compares equal to int(v), except a
+    str, which int() parses exactly or refuses. So plain ints cost one
+    C-level comparison, and only a mismatch is looked at value by value.
+    """
+    values = tuple(values)
     out = tuple(map(int, values))
+    if out != values:
+        for v, n in zip(values, out):
+            if n != v and not isinstance(v, str):
+                raise SpecError(f"{name} must be integers, not {v!r}")
+    return out
+
+
+def _checked_positions(name: str, values: Iterable[int]) -> tuple[int, ...]:
+    out = _ints(name, values)
     _check_positions(name, out)
     return out
 
@@ -151,7 +172,8 @@ def _checked_positions(name: str, values: Iterable[int]) -> tuple[int, ...]:
 def make_spec(x: int, y: int, U: Sequence[int] = (), D: Sequence[int] = (),
               B: Sequence[int] = ()) -> ValidatedSpec:
     """Check a region description and build its spec."""
-    x, y = int(x), int(y)
+    if type(x) is not int or type(y) is not int:  # plain ints skip _ints
+        x, y = _ints("x and y", (x, y))
     if x < 0 or y < 0:
         raise SpecError("x and y must be nonnegative")
     U = _checked_positions("U", U)
@@ -205,8 +227,10 @@ class TriangularRegion:
 
     Equality, hash, repr and pickling read the two fields only. The
     sweep-ordered dual graph is built on the first read of sweep_graph and
-    kept in the instance's __dict__ until the region is freed: two equal
-    regions each build their own, and a pickle or copy carries none.
+    kept in the instance's __dict__ until the region is freed, and so is
+    its number of matchings, under "count", once an oracle engine has
+    counted it (engines._count): two equal regions each build and count
+    their own, and a pickle or copy carries neither.
     """
 
     triangles: frozenset
@@ -236,7 +260,7 @@ def _sweep(t: Triangle):
 
 
 def _dual_graph(region: TriangularRegion, key=None):
-    """The dual graph in key order: (tris, moves, off, degrees).
+    """The dual graph in key order: (tris, moves, off).
 
     Vertices are the region's triangles, edges their shared sides, less
     the vertical ones crossing the axis at a forbidden position.
@@ -246,8 +270,7 @@ def _dual_graph(region: TriangularRegion, key=None):
     end. When i is the lowest uncovered triangle every partner
     before it is already covered, so forward moves are all that the oracle
     DP and the tiling walk ever take. off[i] is an up triangle's least edge
-    weight (0 with no edge) and 0 for a down triangle. degrees lists the
-    up triangles' degrees.
+    weight (0 with no edge) and 0 for a down triangle.
 
     An up triangle's mates come from LOZENGE_MATES, looked up as plain
     (a, b, up) tuples, which hash and compare as the Triangle they stand
@@ -259,13 +282,12 @@ def _dual_graph(region: TriangularRegion, key=None):
     index = {t: i for i, t in enumerate(tris)}
     moves: list[list[tuple[int, int, str]]] = [[] for _ in tris]
     off = [0] * len(tris)
-    degrees = []
     barred = region.forbidden_vertical
     for i, (a, b, up) in enumerate(tris):
         if not up:
             continue
         tilt = _right_tilt_exponent(b)
-        row, degree, low = moves[i], 0, 0
+        row, low = moves[i], None
         for kind, da, db in LOZENGE_MATES:
             if kind == KIND_V and b == 0 and a + 1 in barred:
                 continue
@@ -276,13 +298,11 @@ def _dual_graph(region: TriangularRegion, key=None):
                     row.append((j, w, kind))
                 else:
                     moves[j].append((i, w, kind))
-                if not degree or w < low:
+                if low is None or w < low:
                     low = w
-                degree += 1
         row.sort()
-        off[i] = low
-        degrees.append(degree)
-    return tris, moves, off, degrees
+        off[i] = low or 0  # None: no edge
+    return tris, moves, off
 
 
 def dent_triangles(spec: ValidatedSpec) -> Iterator[Triangle]:
@@ -345,16 +365,15 @@ class ClusterSpec:
     gaps: tuple[int, ...]
 
     def __post_init__(self):
-        clusters = tuple(tuple(c) for c in self.clusters)
-        gaps = tuple(int(g) for g in self.gaps)
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "gaps", gaps)
-        if len(gaps) != len(clusters) - 1:
+        # frozen: fill the fields past __setattr__
+        vars(self).update(clusters=tuple(map(tuple, self.clusters)),
+                          gaps=_ints("gaps", self.gaps))
+        if len(self.gaps) != len(self.clusters) - 1:
             raise SpecError("need exactly one gap between consecutive clusters")
-        if any(g <= 0 for g in gaps):
+        if any(g <= 0 for g in self.gaps):
             raise SpecError("gaps must be positive")
-        for i, c in enumerate(clusters):
-            if 0 < i < len(clusters) - 1 and not c:
+        for i, c in enumerate(self.clusters):
+            if 0 < i < len(self.clusters) - 1 and not c:
                 raise SpecError("only the first and last cluster may be empty")
             for tok in c:
                 if tok not in (UP, DOWN):

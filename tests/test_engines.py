@@ -11,8 +11,8 @@ from operator import lshift, mul
 import pytest
 
 from dentedhex import engines, exactnum, formulas, lattice
-from dentedhex.engines import (RegionTooLarge, _count_bound, _hankel_det,
-                               _moments, check_size, count_axis, count_brute,
+from dentedhex.engines import (RegionTooLarge, _hankel_det, _moments,
+                               check_size, count_axis, count_brute,
                                enumerate_tilings, qcount_axis, qcount_brute)
 from dentedhex.exactnum import ExactnessError, QPoly, digit_width
 from dentedhex.formulas import clp_q_dents, pp, pp_q, schur_ones
@@ -207,7 +207,7 @@ def _partners(region, key=None):
     """The triangles and, per triangle, its sorted partner (index, weight)
     list, both ends of each edge: the graph as _dual_graph returned it
     before it listed each edge once, as a forward move."""
-    tris, moves, _, _ = _dual_graph(region, key)
+    tris, moves, _ = _dual_graph(region, key)
     partners = [[] for _ in tris]
     for i, ms in enumerate(moves):
         for j, w, _ in ms:
@@ -417,12 +417,9 @@ def test_dual_graph_lists_each_edge_once_as_a_forward_move():
     for region in regions:
         edges = _mates_edges(region)
         for key in (None, _sweep):
-            tris, moves, off, degrees = _dual_graph(region, key)
+            tris, moves, off = _dual_graph(region, key)
             assert tris == sorted(region.triangles, key=key)
             assert _move_edges(tris, moves) == edges
-            assert sum(degrees) == sum(map(len, moves))
-            assert degrees == [sum(up == t for up, _ in edges)
-                               for t in tris if t.up]
             assert off == [min((w for (up, _), w in edges.items() if up == t),
                                default=0) if t.up else 0 for t in tris]
     # a barrier at p removes exactly the vertical edge of up(p - 1, 0)
@@ -442,14 +439,15 @@ def test_matching_sum_values_match_the_layer_dp():
     regions = _graph_corpus()
 
     def matching_sum(region, k):
-        _, moves, off, _ = _dual_graph(region, _sweep)
+        _, moves, off = _dual_graph(region, _sweep)
         return engines._matching_sum(moves, off, k)
 
     for region in regions:
         # the layer DP reads both ends of each edge and takes its own
-        # offsets
+        # offsets; k is qcount_brute's, from the count
         graph = _partners(region, _sweep)
-        for k in (0, 8 * digit_width(_count_bound(_dual_graph(region)[3]))):
+        count = _layer_sum(*graph, 0)[0]
+        for k in (0, 8 * digit_width(count)):
             assert matching_sum(region, k) == _layer_sum(*graph, k)
     assert matching_sum(EMPTY, 8) == (1, 0)
     # its two right-tilting lozenges weigh q^2: q^low = q from up(0,0)'s
@@ -519,6 +517,19 @@ def test_sweep_keeps_the_frontier_to_one_cut(monkeypatch):
     assert _widest_layer(*_partners(region, _sweep)) <= 1904
 
 
+def _spy_passes(monkeypatch) -> list:
+    """Record the k of each pass engines._matching_sum runs."""
+    ks = []
+    matching_sum = engines._matching_sum
+
+    def dp(moves, off, k):
+        ks.append(k)
+        return matching_sum(moves, off, k)
+
+    monkeypatch.setattr(engines, "_matching_sum", dp)
+    return ks
+
+
 def test_equal_regions_built_apart_build_their_own_graphs(monkeypatch):
     built = _spy_builds(monkeypatch)
     specs = engine_corpus(seed=7)
@@ -532,16 +543,43 @@ def test_equal_regions_built_apart_build_their_own_graphs(monkeypatch):
     assert len(built) == 2 * len(specs)
 
 
+def test_equal_regions_built_apart_count_their_own(monkeypatch):
+    # the count is kept per region object, not per region value
+    ks = _spy_passes(monkeypatch)
+    for spec in engine_corpus(seed=7, size=40):
+        first, second = build_region(spec), build_region(spec)
+        ks.clear()
+        assert count_brute(first) == count_brute(second)
+        assert ks == [0, 0]
+        assert count_brute(first) == vars(first)["count"]
+        assert ks == [0, 0]
+
+
+@pytest.mark.parametrize("order", [(count_brute, qcount_brute),
+                                   (qcount_brute, count_brute)])
+def test_both_oracles_share_one_counting_pass(order, monkeypatch):
+    # in either order the count comes first, and the q-count's digits are
+    # sized from it
+    ks = _spy_passes(monkeypatch)
+    for spec in engine_corpus(seed=7, size=40) + [make_spec(2, 2)]:
+        region = build_region(spec)
+        ks.clear()
+        for oracle in order:
+            oracle(region)
+        assert ks == [0, 8 * digit_width(count_brute(region))]
+
+
 def test_a_filled_graph_leaves_the_region_value_unchanged():
     for spec in engine_corpus(seed=7):
         region, fresh = build_region(spec), build_region(spec)
         before = hash(region), repr(region), pickle.dumps(region)
         qcount_brute(region)
-        assert "sweep_graph" in vars(region)
+        assert {"sweep_graph", "count"} <= vars(region).keys()
         assert region == fresh and hash(region) == hash(fresh)
         assert (hash(region), repr(region), pickle.dumps(region)) == before
         for twin in (pickle.loads(before[2]), copy.copy(region)):
-            assert twin == region and "sweep_graph" not in vars(twin)
+            assert twin == region
+            assert not {"sweep_graph", "count"} & vars(twin).keys()
 
 
 def test_count_on_a_filled_graph_matches_a_fresh_region():
@@ -551,12 +589,18 @@ def test_count_on_a_filled_graph_matches_a_fresh_region():
         assert count_brute(filled) == count_brute(build_region(spec))
 
 
-def test_packed_q_oracle_matches_axis():
-    # hex(6,6), 216 triangles: past the default budget
+def test_packed_q_oracle_matches_axis(monkeypatch):
+    # hex(6,6), 216 triangles: past the default budget. Its digits are
+    # sized from the count, as qcount_axis sizes them: 6 bytes (Bregman's
+    # permanent bound on the triangle degrees gave 12)
+    ks = _spy_passes(monkeypatch)
     hexagon = make_spec(6, 6)
     qb = qcount_brute(build_region(hexagon), limit=216)
     assert qb == qcount_axis(hexagon)
     assert qb.eval_one() == pp(6, 6, 6)
+    assert ks == [0, 8 * digit_width(pp(6, 6, 6))] == [0, 8 * 6]
+    # hex(8,8), which CI q-counts: 10 bytes, where the bound gave 20
+    assert digit_width(pp(8, 8, 8)) == 10
     # three down dents and rows b = -1 .. -5 below the axis, where a
     # right-tilting lozenge weighs q^b: the least-weight offset is negative
     dented = make_spec(2, 2, (4,), (1, 3, 5))
@@ -564,17 +608,6 @@ def test_packed_q_oracle_matches_axis():
     qb = qcount_brute(region, limit=len(region.triangles))
     assert qb == qcount_axis(dented)
     assert qb.min_exp() < 0
-
-
-def test_count_bound_covers_the_count():
-    # the digit width of qcount_brute rests on this bound
-    specs = engine_corpus(seed=7, size=300) + [make_spec(n, n)
-                                               for n in range(7)]
-    for spec in specs:
-        region = build_region(spec)
-        m = len(region.triangles)
-        assert _count_bound(_dual_graph(region)[3]) >= count_brute(region,
-                                                                   limit=m)
 
 
 def test_qcount_brute_degenerate_regions():
@@ -839,10 +872,9 @@ PLANTED_FAULTS = {
                     lambda: qcount_axis(make_spec(2, 2, (1,), (3,))),
                     r"^qcount_axis\(.*\) is not a polynomial with "
                     r"coefficients summing to 163$"),
-    "qcount_brute": (engines, "_count_bound", lambda f: lambda degrees: 1,
+    "qcount_brute": (engines, "digit_width", lambda f: lambda bound: 1,
                      lambda: qcount_brute(build_region(make_spec(4, 3))),
-                     "^qcount_brute: a packed coefficient overflowed its "
-                     "digit$"),
+                     "^qcount_brute: digits do not sum to 4116$"),
     "pp": (formulas, "_pp_exponents",
            lambda f: lambda *abc: (f(*abc)[0][1:], f(*abc)[1]),
            lambda: pp(2, 2, 2), r"^pp\(2, 2, 2\) = 20/3 is not an integer$"),

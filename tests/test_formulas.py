@@ -443,6 +443,8 @@ def test_a_shuffle_holds_the_validated_sizes():
     ([1, 3], [9]),  # U2 matches U, D2 past the base length
     ([1, 3], [6]),  # U2 matches U, D2 collides with the barrier
     ([1, 3], ["b"]),  # U2 matches U, D2 not an int
+    ([1, 3.5], [2]),  # a fraction that int() would drop
+    ([1, 3], [2.5]),  # U2 matches U, D2 has a fraction
     ([3, 1], ["b"]),  # both bad: U2 is reported, as make_spec reports it
     ([1, 3], [4]),  # a valid spec that changes the union
 ])

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -107,6 +108,34 @@ def test_validate_error_precedence(raw, check, msg):
         make_spec(*raw)
     assert type(info.value) is SpecError
     assert str(info.value) == msg
+
+
+# int() would truncate each of these: make_spec(2.7, 1.9, [1.5], [3.99])
+# once built x=2, y=1, U=(1,), D=(3,), a region with 12 tilings
+@pytest.mark.parametrize("raw,msg", [
+    ((2.7, 1.9, [1.5], [3.99]), "x and y must be integers, not 2.7"),
+    ((2, 1.5), "x and y must be integers, not 1.5"),
+    ((2, 1, [1.5], [3.99]), "U must be integers, not 1.5"),
+    ((2, 1, [1], (3.99,)), "D must be integers, not 3.99"),
+    ((2, 1, (), (), iter([2, Fraction(5, 2)])),
+     "B must be integers, not Fraction(5, 2)"),
+])
+def test_a_number_int_would_truncate_is_refused(raw, msg):
+    with pytest.raises(SpecError) as info:
+        make_spec(*raw)
+    assert str(info.value) == msg
+
+
+def test_a_number_int_reads_exactly_is_kept():
+    spec = make_spec("2", True, [1.0], iter(["3"]), (Fraction(4, 2),))
+    assert spec == make_spec(2, 1, (1,), (3,), (2,))
+    assert all(type(v) is int for v in (spec.x, spec.y, *spec.U, *spec.D,
+                                        *spec.B))
+    c = ClusterSpec([["up"], ["down"]], [2.0])
+    assert c == ClusterSpec((("up",), ("down",)), (2,))
+    assert type(c.gaps[0]) is int
+    with pytest.raises(SpecError, match=r"^gaps must be integers, not 1\.5$"):
+        ClusterSpec((("up",), ("down",)), [1.5])
 
 
 def test_unit_hexagon_triangles():
