@@ -73,7 +73,11 @@ dented-semihexagon count (formulas.schur_ones) and delta(T) =
 prod_{i<j} (t_j - t_i). The weighted version evaluates the lower half
 through the reflected dent set with q replaced by 1/q, which is how a
 180-degree rotation acts on the weights. theorems.check_schur_sum writes
-the sum out; neither engine walks the C(|free|, y) subsets.
+the sum out; neither engine walks the C(|free|, y) subsets. Each engine
+evaluates the sum in one of two forms: as a determinant of order y (the
+crossing form, _crossing_det and _qcrossing_det) or, on tall regions,
+through its complement, of order x - |B| (_complement_det and
+_qcomplement_det; the rule is _short_side, below).
 
 S avoids the dents, so delta(U+S) = delta(U) * delta(S) * prod_{s in S,
 u in U} |s - u|. With a = |U| + y and b = |D| + y this gives
@@ -120,7 +124,7 @@ fix, and qcount_axis takes each one out before it computes:
   nodes q^(s - s0), M_m = q^(e0 + s0*m) M'_m, so det[M_(i+j)] =
   q^(y*e0 + s0*y(y-1)) det[M'_(i+j)];
 - dq(T) = q^(sum_{i<j} t_i) prod_{i<j} (q^(t_j - t_i) - 1), for each of
-  dq(U), dq(D), c_a and c_b (_dq).
+  dq(U), dq(D), c_a and c_b (_below gives the power).
 
 Those powers join E. It all runs on ints at q = Q = 2^k: each w'(s)
 starts at its first binomial q^d - 1, multiplies in the other |U|+|D| - 1
@@ -129,8 +133,10 @@ it is the int 1 << k(e(s) - e0). Each node Q^(s - s0) is 1 << k(s - s0),
 so _moments, the routine count_axis uses, steps each weight to its next
 power by a left shift of k(s - s0) bits (lshift) where count_axis
 multiplies by s (mul). The determinant and the one division are exact
-int operations; the divisor is
-what is left of c_a c_b, a product of factors Q^d - 1, so it is odd.
+int operations. Every odd factor on either side is some Q^d - 1 with
+d < L, so qcount_axis keeps one list of each d's power, numerator less
+divisor, and multiplies out only what does not cancel: the divisor is
+odd.
 QPoly.from_packed reads the quotient back at E' = E plus the powers taken
 out. So M'_m is k(e0 + s0*m) bits shorter than M_m, and the determinant,
 the divisor and the quotient are each shorter by k times the powers they
@@ -153,7 +159,64 @@ them. On the first input of the benchmark's axis workload at seed 7
 (x = y = 4, U = [9], D = [1], B = [4]) the pivots of steps 1-3 carry 96
 of 2,400 bits, 448 of 4,032 and 1,088 of 5,888 as zeros.
 
-Both engines are polynomial in x, y and the dent count. The count's
+The complement. Exactly r = x - |B| free positions are crossed by no
+vertical lozenge, so the crossing sum over y-subsets S of the free
+positions F is as well a sum over their complements R = F - S. For t in F
+let p(t) = prod_{u in F - t} |u - t|; then delta(S) = delta(F) delta(R) /
+prod_{t in R} p(t). F, U union D and B partition [1..L], so p(t) =
+(L-1)! / (C(L-1, t-1) prod_{c in U union D union B} |t - c|), and with
+W_F = prod_{s in F} w(s) this is complementary Cauchy-Binet:
+
+    det[mu_(i+j)]_y = W_F delta(F)^2 det[nu_(i+j)]_r / ((L-1)!)^(2r)
+    nu_m  = sum over t in F of v'(t) t^m,
+    v'(t) = C(L-1, t-1)^2 prod_{d in U xor D} |t - d| prod_{b in B} (t - b)^2.
+
+A dent in both U and D drops out of v': w(t) has its factor twice and
+p(t)^2 divides it out twice. v' is positive on the same |F| >= r distinct
+nodes, so _moments and _hankel_det serve unchanged, with their pivot and
+remainder checks, and the count is still one exact division, now by
+((L-1)!)^(2r) times the two superfactorials. At r = 0 the determinant is
+empty and no weight is built.
+
+The q-form is the same identity in the nodes q^t, each factor a replaced
+by q^a - 1 once its power of q is taken out. The binomials become the
+Gaussian binomials [L-1, t-1]_Q (_qbinomials), (L-1)! becomes G =
+prod_{i<L} (Q^i - 1), and w_q(t) p_q(t)^2 = Q^e'(t) times odd factors,
+p_q(t) = prod_{u in F - t} |Q^u - Q^t| and e'(t) = e(t) + 2 sum_{u in
+F - t} min(t, u). e' grows with t, so its largest value e0 = max e' is at
+the last free position, and the weights and nodes are
+
+    v'(t) = Q^(e0 - e'(t)) [L-1, t-1]_Q^2 prod_{d in U xor D} (Q^|t-d| - 1)
+            * prod_{b in B} (Q^|t-b| - 1)^2,   node Q^(t - t0),
+
+t0 the first free position. Then det[M] = Q^P W_F* dq*(F)^2 det[M''] /
+G^(2r), where * marks the odd part (each factor's Q^min taken out), M''
+is the r x r Hankel matrix of v' and
+
+    P = sum_{s in F} e(s) + 2 sum_{i<j} f_i + t0 r(r-1) - e0 r
+
+joins E. The odd factors of W_F*, dq*(F)^2, dq(U) and dq(D) over those of
+G^(2r), c_a and c_b cancel in qcount_axis's one list of powers (on a pure
+hexagon all of them do); the digit width, the read-back and the digit-sum
+check are as above. The complement's moments are not odd: the weights'
+least power is at the last free position and the nodes' at the first, so
+_hankel_det strips what each step's entries share.
+
+Both engines take the complement when r <= y - 2 (_short_side reads it
+off the spec; no option sets it). Measured in process (Python 3.11.7, a
+shared 2-vCPU VM, best of 7 or more runs): the q-count of the benchmark's
+(4, 5, 2, 1, 1, 0) axis slot at seed 7 fell about fourfold (579 to 153
+us, and 626 to 159 us in a second set), the count of hex(6, 60) from
+0.51 s to 0.64 ms, the count of hex(2, 120) from 86 s to 5.0 ms, and the
+q-count of hex(3, 12) from 0.31 s to 2.3 ms. At r = y - 1 the complement
+was slower in all but one of 24 readings: by 11-47% on counts and 10-49%
+on q-counts (the axis slots (4, 4, 1, 1, 1, 0) and (5, 4, 2, 1, 1, 0),
+hex(3, 4) and hex(4, 5), three sets; one set read one q-count 9%
+faster), so the rule stops at y - 2. Pure and wide hexagons keep the
+crossing form.
+
+Both engines are polynomial in x, y and the dent count, with a
+determinant of order min(y, x - |B|) up to that rule. The count's
 moments have O(y log L) digits and hex(60, 60) (1,227 digits) takes about
 1.2 s (a whole `dentedhex count` process, Python 3.11.7 on a shared 2-vCPU
 Xeon VM). The q-version's moments have O(k y L) bits, and the Bareiss
@@ -169,13 +232,13 @@ b <= -1; all other lozenges have weight 1.
 from __future__ import annotations
 
 import sys
-from itertools import combinations
-from math import prod
+from itertools import chain
+from math import comb, factorial, prod
 from operator import lshift, mul
 from typing import Callable, Iterator, Sequence
 
 from .exactnum import ExactnessError, QPoly, digit_width
-from .formulas import _superfactorial, delta, schur_ones
+from .formulas import _gaps, _superfactorial, delta, schur_ones
 from .lattice import (Lozenge, Tiling, TriangularRegion, ValidatedSpec,
                       _dual_graph, build_region, triangle_count)
 
@@ -326,9 +389,12 @@ def _hankel_det(moments: Sequence[int], n: int) -> int:
 
     Bareiss (1968): after step k every entry is a minor of order k+1, so
     each division by the previous pivot is exact. Callers pass the moments
-    of a positive weight on at least n distinct points, so the matrix is
-    positive definite and every pivot (a leading principal minor) is
-    positive: no row exchange, and a pivot <= 0 is an error. The matrix is
+    of a positive weight on at least n distinct points: the crossing
+    forms w on the free positions with n = y, the complement forms v' on
+    the same positions with n = x - |B|, and both q-forms at nodes that
+    are distinct powers of Q. So the matrix is positive definite and every
+    pivot (a leading principal minor) is positive: no row exchange, and a
+    pivot <= 0 is an error. The matrix is
     symmetric and so is each step, so only the upper triangle is updated.
 
     Each step stores its entries as their minors over 2^v. When the
@@ -387,9 +453,9 @@ def _hankel_det(moments: Sequence[int], n: int) -> int:
 def _moments(weights: Sequence[int], steps: Sequence[int], y: int,
              op: Callable[[int, int], int]) -> list[int]:
     """sum of weights[i] * z_i^m for m < 2y-1, y >= 1, where op(w,
-    steps[i]) is w * z_i: one pass of map and one sum per power.
-    count_axis passes the nodes and mul, qcount_axis the exponents of its
-    power-of-two nodes and lshift."""
+    steps[i]) is w * z_i: one pass of map and one sum per power. The
+    count's forms pass the nodes and mul, the q-count's the exponents of
+    their power-of-two nodes and lshift."""
     out = [sum(weights)]
     for _ in range(2 * y - 2):
         weights = list(map(op, weights, steps))
@@ -397,36 +463,139 @@ def _moments(weights: Sequence[int], steps: Sequence[int], y: int,
     return out
 
 
-def count_axis(spec: ValidatedSpec) -> int:
-    """Tiling count: the crossing sum as one y x y Hankel determinant."""
-    U, D, y = spec.U, spec.D, spec.y
-    if not y:  # no crossings: the two semihexagons of the flat region
-        return schur_ones(U) * schur_ones(D)
-    free, dents = spec.free, U + D
+def _short_side(spec: ValidatedSpec) -> bool:
+    """Whether the axis engines sum over the r = x - |B| free positions
+    that no vertical lozenge crosses: when r <= y - 2 (module docstring)."""
+    return spec.x - len(spec.B) <= spec.y - 2
+
+
+def _crossing_det(spec: ValidatedSpec) -> tuple[int, int]:
+    """(num, den), the crossing sum's quotient: its y x y Hankel
+    determinant over 1, for y >= 1."""
+    free, dents, y = spec.free, spec.U + spec.D, spec.y
     # s is free, so no factor s - t is 0: only the sign differs from
     # prod |s - t|
     weights = [abs(prod(map(s.__sub__, dents))) for s in free]
-    det = _hankel_det(_moments(weights, free, y, mul), y)
-    den = _superfactorial(len(U) + y) * _superfactorial(len(D) + y)
-    out, rem = divmod(delta(U) * delta(D) * det, den)
+    return _hankel_det(_moments(weights, free, y, mul), y), 1
+
+
+def _complement_det(spec: ValidatedSpec) -> tuple[int, int]:
+    """(num, den), the crossing sum's quotient through its complement:
+    W_F delta(F)^2 det[nu_(i+j)] over ((L-1)!)^(2r), an r x r Hankel
+    determinant of the weights v' (module docstring), for y >= 1."""
+    U, D, B, L = spec.U, spec.D, spec.B, spec.L
+    r = spec.x - len(B)
+    free, dents = spec.free, U + D
+    num = prod(abs(prod(map(s.__sub__, dents))) for s in free) * delta(free)**2
+    if r:
+        odd = sorted({*U} ^ {*D})  # a shared dent's two factors cancel
+        weights = [comb(L - 1, t - 1)**2 * abs(prod(map(t.__sub__, odd)))
+                   * prod(map(t.__sub__, B))**2 for t in free]
+        num *= _hankel_det(_moments(weights, free, r, mul), r)
+    return num, factorial(L - 1)**(2 * r)
+
+
+def count_axis(spec: ValidatedSpec) -> int:
+    """Tiling count: the crossing sum as one Hankel determinant, of order
+    x - |B| when that is at most y - 2 and of order y otherwise."""
+    U, D = spec.U, spec.D
+    if not spec.y:  # no crossings: the two semihexagons of the flat region
+        return schur_ones(U) * schur_ones(D)
+    return _count_by(spec, _complement_det if _short_side(spec)
+                     else _crossing_det)
+
+
+def _count_by(spec: ValidatedSpec,
+              form: Callable[[ValidatedSpec], tuple[int, int]]) -> int:
+    """count_axis for y >= 1, with the crossing sum's quotient from form."""
+    U, D, y = spec.U, spec.D, spec.y
+    num, den = form(spec)
+    den *= _superfactorial(len(U) + y) * _superfactorial(len(D) + y)
+    out, rem = divmod(delta(U) * delta(D) * num, den)
     if rem:
         raise ExactnessError(f"count_axis({spec.to_json_dict()}) is not an "
                              "integer")
     return out
 
 
-def _dq(T: Sequence[int], k: int) -> tuple[int, int]:
-    """(e, n) with dq(T) = Q^e * n at Q = 2^k, for T increasing.
+def _below(T: Sequence[int]) -> int:
+    """sum over i < j of t_i, for T increasing: the power of Q in dq(T).
 
-    Each factor Q^t_j - Q^t_i (i < j) is Q^t_i * (Q^(t_j - t_i) - 1), so
-    e = sum over i < j of t_i, and n, a product of Q^d - 1 with d >= 1, is
-    odd.
+    Each factor Q^t_j - Q^t_i (i < j) is Q^t_i * (Q^(t_j - t_i) - 1), and
+    the odd rest is one factor Q^d - 1 per gap d (formulas._gaps).
     """
-    e, n = 0, 1
-    for s, t in combinations(T, 2):
-        e += s
-        n *= (1 << k * (t - s)) - 1
-    return e, n
+    return sum(map(mul, T, range(len(T) - 1, -1, -1)))
+
+
+def _qbinomials(n: int, k: int) -> list[int]:
+    """The Gaussian binomials [n, j] at Q = 2^k, j = 0..n: each is the last
+    times Q^(n-j+1) - 1, divided exactly by Q^j - 1."""
+    out = [1]
+    for j in range(1, n + 1):
+        out.append(out[-1] * ((1 << k * (n - j + 1)) - 1)
+                   // ((1 << k * j) - 1))
+    return out
+
+
+def _qcrossing_det(spec: ValidatedSpec, k: int) -> tuple[int, int, list, list]:
+    """The q-crossing sum as its y x y Hankel determinant, with the powers
+    of Q the positions fix taken out of its weights and nodes."""
+    y = spec.y
+    if not y:  # the empty determinant, with no weights or nodes
+        return 1, 0, [], []
+    free, dents = spec.free, spec.U + spec.D
+    width = k // 8
+    s0 = free[0]
+    # w_q(s) = q^e(s) prod_t (q^|s-t| - 1), e(s) = 2s + sum_t min(s, t),
+    # which grows with s: the least power is e0 = e(s0)
+    e0 = 2 * s0 + sum(min(s0, t) for t in dents)
+    weights = []
+    for s in free:
+        w, e = None, 2 * s - e0  # no dents: the weight is Q^e
+        for t in dents:  # s is free, so s != t: the binomial is normal
+            binom = QPoly._raw({abs(s - t): 1, 0: -1})
+            w = binom if w is None else w * binom
+            e += min(s, t)
+        weights.append((1 if w is None else w.packed(width)) << k * e)
+    # node Q^(s - s0): the next power is the last one shifted left
+    steps = [k * (s - s0) for s in free]
+    det = _hankel_det(_moments(weights, steps, y, lshift), y)
+    # M_m = Q^(e0 + s0 m) * M'_m, so det[M] = Q^low * det
+    return det, y * e0 + s0 * y * (y - 1), [], []
+
+
+def _qcomplement_det(spec: ValidatedSpec,
+                     k: int) -> tuple[int, int, list, list]:
+    """The q-crossing sum through its complement: W_F dq(F)^2 times the
+    r x r Hankel determinant of the weights v' over G^(2r) (module
+    docstring), with the powers of Q the positions fix taken out."""
+    U, D, B, L = spec.U, spec.D, spec.B, spec.L
+    r = spec.x - len(B)
+    free, dents = spec.free, U + D
+    e = [2 * s + sum(min(s, t) for t in dents) for s in free]  # as above
+    low = sum(e) + 2 * _below(free)  # the powers of W_F and dq(F)^2
+    num = [abs(s - t) for s in free for t in dents]
+    num += 2 * [*_gaps(free)]
+    det = 1
+    if r:
+        # w_q(t) p(t)^2 = Q^e'(t) * odd, p(t) = prod_{u in F - t} |Q^u - Q^t|
+        last, ep, before = len(free) - 1, [], 0
+        for i, t in enumerate(free):
+            ep.append(e[i] + 2 * (before + t * (last - i)))
+            before += t
+        e0, t0 = max(ep), free[0]
+        gauss = _qbinomials(L - 1, k)
+        odd = sorted({*U} ^ {*D})  # a shared dent's two factors cancel
+        weights = []
+        for t, et in zip(free, ep):
+            w = (gauss[t - 1]**2
+                 * prod((1 << k * abs(t - d)) - 1 for d in odd)
+                 * prod((1 << k * abs(t - b)) - 1 for b in B)**2)
+            weights.append(w << k * (e0 - et))
+        steps = [k * (t - t0) for t in free]
+        det = _hankel_det(_moments(weights, steps, r, lshift), r)
+        low += t0 * r * (r - 1) - e0 * r
+    return det, low, num, [*range(1, L)] * (2 * r)
 
 
 def qcount_axis(spec: ValidatedSpec) -> QPoly:
@@ -434,9 +603,18 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
 
     q^E dq(U) dq(D) det[M_(i+j)] / (dq([a]) dq([b])), evaluated at
     Q = 2^k with every power of Q that the positions determine taken out
-    of the weights, the nodes and the four q-Vandermonde products and
-    added to E, then unpacked (see the module docstring).
+    and added to E, then unpacked (see the module docstring); the
+    determinant is of order x - |B| when that is at most y - 2.
     """
+    return _qcount_by(spec, _qcomplement_det if _short_side(spec)
+                      else _qcrossing_det)
+
+
+def _qcount_by(spec: ValidatedSpec,
+               form: Callable[[ValidatedSpec, int], tuple]) -> QPoly:
+    """qcount_axis with the q-crossing sum taken by form: form(spec, k) is
+    (det, low, num, den), the sum's value Q^low * det * prod(Q^d - 1 over
+    d in num) / prod(Q^d - 1 over d in den) at Q = 2^k."""
     U, D, y, L = spec.U, spec.D, spec.y, spec.L
     a, b = len(U) + y, len(D) + y
     count = count_axis(spec)
@@ -444,32 +622,31 @@ def qcount_axis(spec: ValidatedSpec) -> QPoly:
     # weights are evaluated at Q exactly, whatever their coefficients
     width = digit_width(count)
     k = 8 * width
-    det, low = 1, 0  # y = 0: the empty determinant, with no weights or nodes
-    if y:
-        free, dents = spec.free, U + D
-        s0 = free[0]
-        # w_q(s) = q^e(s) prod_t (q^|s-t| - 1), e(s) = 2s + sum_t min(s, t),
-        # which grows with s: the least power is e0 = e(s0)
-        e0 = 2 * s0 + sum(min(s0, t) for t in dents)
-        weights = []
-        for s in free:
-            w, e = None, 2 * s - e0  # no dents: the weight is Q^e
-            for t in dents:  # s is free, so s != t: the binomial is normal
-                binom = QPoly._raw({abs(s - t): 1, 0: -1})
-                w = binom if w is None else w * binom
-                e += min(s, t)
-            weights.append((1 if w is None else w.packed(width)) << k * e)
-        # node Q^(s - s0): the next power is the last one shifted left
-        steps = [k * (s - s0) for s in free]
-        det = _hankel_det(_moments(weights, steps, y, lshift), y)
-        # M_m = Q^(e0 + s0 m) * M'_m, so det[M] = Q^low * det
-        low = y * e0 + s0 * y * (y - 1)
-    (eU, nU), (eD, nD), (ea, na), (eb, nb) = (
-        _dq(T, k) for T in (U, D, range(1, a + 1), range(1, b + 1)))
-    quo, rem = divmod(nU * nD * det, na * nb)
+    det, low, num, den = form(spec, k)
+    # every odd factor is some Q^d - 1 with d < L: exps[d] is its power in
+    # the numerator less its power in the divisor, so the two cancel first
+    exps = [0] * L
+    for d in chain(num, _gaps(U), _gaps(D)):
+        exps[d] += 1
+    for d in den:
+        exps[d] -= 1
+    for n in (a, b):  # dq([n]) has n - d gaps d
+        for d in range(1, n):
+            exps[d] -= n - d
+    top = bottom = 1
+    for d, n in enumerate(exps):
+        if n:  # n = 1 and n = -1 skip pow, which costs more than a product
+            f = (1 << k * d) - 1
+            if n > 0:
+                top *= f if n == 1 else f**n
+            else:
+                bottom *= f if n == -1 else f**-n
+    quo, rem = divmod(top * det, bottom)
+    # dq([n]) carries Q^((n-1)n(n+1)/6), _below(range(1, n + 1))
     E = (sum(U) + sum(D) - a * (a + 1) // 2 + b * (b + 1) // 2
          - (L + 1) * (b * (b - 1) // 2 + b) + (b - 1) * b * (b + 1) // 2
-         + low + eU + eD - ea - eb)
+         + low + _below(U) + _below(D)
+         - (a - 1) * a * (a + 1) // 6 - (b - 1) * b * (b + 1) // 6)
     out = QPoly.from_packed(quo, width, E)
     if rem or out.eval_one() != count:
         raise ExactnessError(f"qcount_axis({spec.to_json_dict()}) is not a "

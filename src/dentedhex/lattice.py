@@ -32,9 +32,10 @@ TriangularRegion.sweep_graph keeps the region's dual graph (_dual_graph)
 in the sweep order that both oracle engines read.
 
 make_spec and ClusterSpec read their numbers with int(), and refuse one
-that int() would truncate: make_spec(2.7, 1) is an error, not
-make_spec(2, 1). A str such as "2" is parsed exactly or not at all, and
-True is the 1 it equals, so both are read as int() reads them.
+that int() would truncate or cannot read: make_spec(2.7, 1) is an error,
+not make_spec(2, 1), and so is make_spec(float("inf"), 1). A str such as
+"2" is parsed exactly or not at all, and True is the 1 it equals, so both
+are read as int() reads them.
 """
 
 from __future__ import annotations
@@ -148,17 +149,25 @@ def _check_positions(name: str, values: Sequence[int]) -> None:
 
 
 def _ints(name: str, values: Iterable) -> tuple[int, ...]:
-    """tuple(map(int, values)), or SpecError when int() truncates a value.
+    """tuple(map(int, values)), or SpecError when int() truncates a value
+    or refuses it (inf, nan, a str it cannot parse).
 
     A value v that int() maps exactly compares equal to int(v), except a
     str, which int() parses exactly or refuses. So plain ints cost one
     C-level comparison, and only a mismatch is looked at value by value.
     """
     values = tuple(values)
-    out = tuple(map(int, values))
+    try:
+        out = tuple(map(int, values))
+    except (OverflowError, ValueError):  # some value fails below
+        out = None
     if out != values:
-        for v, n in zip(values, out):
-            if n != v and not isinstance(v, str):
+        for v in values:
+            try:
+                exact = int(v) == v or isinstance(v, str)
+            except (OverflowError, ValueError):
+                exact = False
+            if not exact:
                 raise SpecError(f"{name} must be integers, not {v!r}")
     return out
 

@@ -11,7 +11,9 @@ from operator import lshift, mul
 import pytest
 
 from dentedhex import engines, exactnum, formulas, lattice
-from dentedhex.engines import (RegionTooLarge, _hankel_det, _moments,
+from dentedhex.engines import (RegionTooLarge, _complement_det, _count_by,
+                               _crossing_det, _hankel_det, _moments,
+                               _qcomplement_det, _qcount_by, _qcrossing_det,
                                check_size, count_axis, count_brute,
                                enumerate_tilings, qcount_axis, qcount_brute)
 from dentedhex.exactnum import ExactnessError, QPoly, digit_width
@@ -21,7 +23,7 @@ from dentedhex.theorems import crossing_subsets
 from dentedhex.lattice import (LOZENGE_MATES, Triangle, TriangularRegion,
                                _dual_graph, _right_tilt_exponent, _sweep,
                                build_region, lozenge_triangles, make_spec,
-                               reflect_positions)
+                               reflect_positions, triangle_count)
 
 
 def test_count_anchors():
@@ -721,9 +723,11 @@ def test_qcount_axis_weights_wider_than_the_count():
 
 
 def test_qcount_axis_moments_carry_no_power_of_q(monkeypatch):
-    # the weight at the first free position is a product of odd factors
-    # Q^d - 1 and its node is Q^0; every other term of a moment has a
-    # factor Q, so each moment handed to the determinant is odd
+    # in the crossing form the weight at the first free position is a
+    # product of odd factors Q^d - 1 and its node is Q^0; every other term
+    # of a moment has a factor Q, so each moment handed to the determinant
+    # is odd. The form is called directly: qcount_axis takes the complement
+    # on the corpus specs with x = |B| and y = 2
     seen = []
 
     def spy(moments, n):
@@ -733,7 +737,7 @@ def test_qcount_axis_moments_carry_no_power_of_q(monkeypatch):
     for spec in engine_corpus(seed=7)[:60] + [make_spec(5, 5), demo_spec()]:
         if spec.y:
             seen.clear()
-            qcount_axis(spec)
+            _qcount_by(spec, _qcrossing_det)
             assert all(m % 2 for m in seen[-1]), spec
 
 
@@ -743,6 +747,107 @@ def test_axis_engine_on_large_hexagons():
     assert big == pp(40, 40, 40) and len(str(big)) == 546
     hexagon = make_spec(8, 8)
     assert qcount_axis(hexagon).eval_one() == count_axis(hexagon)
+
+
+def _barrier_spec(rng, y):
+    """x - |B| in 0..4 with up to 3 barriers, up to 4 dents of which some
+    may be shared by U and D, and L <= 16."""
+    nb = rng.randint(0, 3)
+    x = nb + rng.randint(0, 4)
+    L = x + y + rng.randint(0, min(4, 16 - x - y))
+    union = rng.sample(range(1, L + 1), L - x - y)
+    U, D = [], []
+    for p in sorted(union):
+        side = rng.randrange(3)  # up, both or down
+        if side < 2:
+            U.append(p)
+        if side > 0:
+            D.append(p)
+    free = [k for k in range(1, L + 1) if k not in union]
+    return make_spec(x, y, U, D, sorted(rng.sample(free, nb)))
+
+
+def _both_forms(spec):
+    """(count, q-count) through the crossing form and through the
+    complement form, each called directly."""
+    return ((_count_by(spec, _crossing_det), _qcount_by(spec, _qcrossing_det)),
+            (_count_by(spec, _complement_det),
+             _qcount_by(spec, _qcomplement_det)))
+
+
+def test_both_axis_forms_agree_on_the_corpus():
+    specs = [spec for spec in engine_corpus(seed=7) if spec.y]
+    assert len(specs) == 173
+    for spec in specs:
+        crossing, complement = _both_forms(spec)
+        assert crossing == complement, spec
+
+
+def test_both_axis_forms_agree_with_barriers_and_shared_dents():
+    # 120 specs, y = 1..6 in turn; the complement's determinant has order
+    # r = x - |B|, empty when r = 0
+    rng = random.Random(40)
+    orders = set()
+    for i in range(120):
+        spec = _barrier_spec(rng, 1 + i % 6)
+        crossing, complement = _both_forms(spec)
+        assert crossing == complement, spec
+        orders.add(spec.x - len(spec.B))
+    assert orders == {0, 1, 2, 3, 4}
+
+
+def test_complement_matches_the_oracles_on_tall_specs():
+    # 21 dented specs with x - |B| <= y - 2, where the engines take the
+    # complement, of up to 300 triangles: past the default budget
+    rng = random.Random(41)
+    largest, seen = 0, 0
+    while seen < 21:
+        spec = _barrier_spec(rng, rng.randint(4, 9))
+        m = triangle_count(spec)
+        if (m > 300 or not spec.U + spec.D
+                or spec.x - len(spec.B) > spec.y - 2):
+            continue
+        seen += 1
+        largest = max(largest, m)
+        region = build_region(spec)
+        assert _count_by(spec, _complement_det) == count_brute(region, 300)
+        assert _qcount_by(spec, _qcomplement_det) == qcount_brute(region, 300)
+    assert largest > 200
+
+
+def test_axis_engines_take_the_short_side(monkeypatch):
+    # the determinant has order r = x - |B| exactly when r <= y - 2, and y
+    # otherwise; qcount_axis takes count_axis's determinant, then its own
+    orders = []
+
+    def spy(moments, n):
+        orders.append(n)
+        return _hankel_det(moments, n)
+    monkeypatch.setattr(engines, "_hankel_det", spy)
+    rng = random.Random(42)
+    specs = [spec for spec in engine_corpus(seed=7) if spec.y]
+    specs += [_barrier_spec(rng, 1 + i % 6) for i in range(60)]
+    specs += [make_spec(2, 12), make_spec(4, 5, (3,), (8,), (2, 6)),
+              make_spec(4, 5, (3,), (8,), (2,)), make_spec(5, 5)]
+    taken = set()
+    for spec in specs:
+        r = spec.x - len(spec.B)
+        n = r if r <= spec.y - 2 else spec.y
+        taken.add(n == r)
+        want = [n] if n else []  # r = 0: the empty determinant, no call
+        orders.clear()
+        count_axis(spec)
+        assert orders == want, spec
+        orders.clear()
+        qcount_axis(spec)
+        assert orders == want + want, spec
+    assert taken == {False, True}
+
+
+def test_count_axis_on_a_tall_hexagon():
+    # the complement's determinant is 2 x 2; the crossing sum's 120 x 120
+    # one took over a minute
+    assert count_axis(make_spec(2, 120)) == pp(2, 120, 120)
 
 
 def _leibniz_det(m):
@@ -872,6 +977,14 @@ PLANTED_FAULTS = {
                     lambda: qcount_axis(make_spec(2, 2, (1,), (3,))),
                     r"^qcount_axis\(.*\) is not a polynomial with "
                     r"coefficients summing to 163$"),
+    "count_axis.complement": (engines, "comb", _plus_one,
+                              lambda: count_axis(make_spec(2, 4)),
+                              r"^count_axis\(.*\) is not an integer$"),
+    "qcount_axis.complement": (engines, "_qbinomials",
+                               lambda f: lambda *nk: [v + 1 for v in f(*nk)],
+                               lambda: qcount_axis(make_spec(1, 4)),
+                               r"^qcount_axis\(.*\) is not a polynomial "
+                               r"with coefficients summing to 70$"),
     "qcount_brute": (engines, "digit_width", lambda f: lambda bound: 1,
                      lambda: qcount_brute(build_region(make_spec(4, 3))),
                      "^qcount_brute: digits do not sum to 4116$"),

@@ -110,8 +110,10 @@ def test_validate_error_precedence(raw, check, msg):
     assert str(info.value) == msg
 
 
-# int() would truncate each of these: make_spec(2.7, 1.9, [1.5], [3.99])
-# once built x=2, y=1, U=(1,), D=(3,), a region with 12 tilings
+# int() would truncate each of these or refuse it with its own error:
+# make_spec(2.7, 1.9, [1.5], [3.99]) once built x=2, y=1, U=(1,), D=(3,),
+# a region with 12 tilings, and inf once raised OverflowError. A raw that
+# starts with ClusterSpec is its arguments; every other is make_spec's
 @pytest.mark.parametrize("raw,msg", [
     ((2.7, 1.9, [1.5], [3.99]), "x and y must be integers, not 2.7"),
     ((2, 1.5), "x and y must be integers, not 1.5"),
@@ -119,10 +121,18 @@ def test_validate_error_precedence(raw, check, msg):
     ((2, 1, [1], (3.99,)), "D must be integers, not 3.99"),
     ((2, 1, (), (), iter([2, Fraction(5, 2)])),
      "B must be integers, not Fraction(5, 2)"),
+    ((float("inf"), 1), "x and y must be integers, not inf"),
+    ((float("nan"), 1), "x and y must be integers, not nan"),
+    ((2, 1, [float("inf")]), "U must be integers, not inf"),
+    ((2, 1, [1], ["two"]), "D must be integers, not 'two'"),
+    ((ClusterSpec, [["up"], ["down"]], [float("inf")]),
+     "gaps must be integers, not inf"),
 ])
 def test_a_number_int_would_truncate_is_refused(raw, msg):
+    build, args = ((raw[0], raw[1:]) if raw[0] is ClusterSpec
+                   else (make_spec, raw))
     with pytest.raises(SpecError) as info:
-        make_spec(*raw)
+        build(*args)
     assert str(info.value) == msg
 
 
